@@ -45,9 +45,7 @@ class LieIdeal:
         self.reduced = reduced
         self.pivots = pivots
         self.dim = len(reduced)
-        for i in range(ambient.dim):
-            unit = [Fraction(0)] * ambient.dim
-            unit[i] = Fraction(1)
+        for i, unit in enumerate(linalg.identity(ambient.dim)):
             for row in self.rows:
                 image = ambient.bracket(unit, row)
                 if any(linalg.residue(image, reduced, pivots)):
@@ -59,12 +57,8 @@ class LieIdeal:
 
     @classmethod
     def from_labels(cls, ambient: LieAlgebraFD, *labels: str) -> "LieIdeal":
-        rows = []
-        for label in labels:
-            unit = [Fraction(0)] * ambient.dim
-            unit[ambient.index(label)] = Fraction(1)
-            rows.append(unit)
-        return cls(ambient, rows)
+        units = linalg.identity(ambient.dim)
+        return cls(ambient, [units[ambient.index(label)] for label in labels])
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return not any(linalg.residue(list(vec), self.reduced, self.pivots))
@@ -79,23 +73,6 @@ class LieIdeal:
     def __repr__(self) -> str:
         gens = "; ".join(_vector_str(self.ambient, row) for row in self.rows)
         return f"LieIdeal({gens})"
-
-
-@dataclass(frozen=True)
-class ComplementResult:
-    rows: tuple[tuple[Fraction, ...], ...]
-    verdict: str
-
-
-def complement_submodule(ideal: LieIdeal) -> ComplementResult:
-    """The smallest invariant-coefficient submodule containing the ideal.
-
-    With scalar rational coefficients the invariants algebra is just the
-    rationals, so the submodule generated by the ideal is the ideal:
-    every ideal is complete.  The function exists to make that collapse
-    explicit and queryable.
-    """
-    return ComplementResult(tuple(tuple(row) for row in ideal.rows), "complete")
 
 
 class H1Quotient:
@@ -127,19 +104,13 @@ class H1Quotient:
         return [residue[k] for k in self.positions]
 
 
-def h1_of_ideal(ideal: LieIdeal) -> H1Quotient:
-    return H1Quotient(ideal)
-
-
 def action_on_h1(ideal: LieIdeal, h1: Optional[H1Quotient] = None) -> list[list[Vec]]:
     """One matrix per ambient basis element, acting by bracket on classes."""
     g = ideal.ambient
     if h1 is None:
         h1 = H1Quotient(ideal)
     matrices = []
-    for i in range(g.dim):
-        unit = [Fraction(0)] * g.dim
-        unit[i] = Fraction(1)
+    for unit in linalg.identity(g.dim):
         columns = [h1.reduce(g.bracket(unit, rep)) for rep in h1.representatives]
         matrices.append(
             [[columns[c][r] for c in range(h1.dim)] for r in range(h1.dim)]
@@ -163,9 +134,7 @@ class ProjectionOperator:
         rows = [[Fraction(c) for c in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("projection matrix must be square of ambient size")
-        for i in range(n):
-            unit = [Fraction(0)] * n
-            unit[i] = Fraction(1)
+        for i, unit in enumerate(linalg.identity(n)):
             image = linalg.matvec(rows, unit)
             if not ideal.contains(image):
                 raise ValueError(
@@ -184,9 +153,7 @@ class ProjectionOperator:
         """Projection along the coordinate complement of the pivot columns."""
         n = ideal.ambient.dim
         columns = []
-        for i in range(n):
-            unit = [Fraction(0)] * n
-            unit[i] = Fraction(1)
+        for unit in linalg.identity(n):
             res = linalg.residue(unit, ideal.reduced, ideal.pivots)
             columns.append([a - b for a, b in zip(unit, res)])
         return cls(ideal, [[columns[c][r] for c in range(n)] for r in range(n)])
@@ -208,9 +175,7 @@ def projection_form(
     if h1 is None or module is None:
         h1, module = h1_module(ideal, h1)
     data = {}
-    for i in range(g.dim):
-        unit = [Fraction(0)] * g.dim
-        unit[i] = Fraction(1)
+    for i, unit in enumerate(linalg.identity(g.dim)):
         data[(i,)] = tuple(h1.reduce(projection.apply(unit)))
     return CochainCE(g, module, 1, data)
 
@@ -224,29 +189,18 @@ class QuotientAlgebra:
         self.ideal = ideal
         self.positions = [i for i in range(g.dim) if i not in pivot_set]
         labels = tuple(g.labels[i] for i in self.positions)
-        n_q = len(self.positions)
+        units = linalg.identity(g.dim)
+        lifts = [units[a] for a in self.positions]
         for row in ideal.rows:
-            for a in self.positions:
-                unit = [Fraction(0)] * g.dim
-                unit[a] = Fraction(1)
-                if any(self._project_raw(g.bracket(row, unit))):
+            for unit in lifts:
+                if any(self.project(g.bracket(row, unit))):
                     raise RuntimeError("quotient bracket is not well defined")
-        table = [[[Fraction(0)] * n_q for _ in range(n_q)] for _ in range(n_q)]
-        for a_pos, a in enumerate(self.positions):
-            for b_pos, b in enumerate(self.positions):
-                ua = [Fraction(0)] * g.dim
-                ua[a] = Fraction(1)
-                ub = [Fraction(0)] * g.dim
-                ub[b] = Fraction(1)
-                table[a_pos][b_pos] = self._project_raw(g.bracket(ua, ub))
+        table = [[self.project(g.bracket(ua, ub)) for ub in lifts] for ua in lifts]
         self.algebra = LieAlgebraFD(labels, table)
 
-    def _project_raw(self, vec: Sequence[Fraction]) -> Vec:
+    def project(self, vec: Sequence[Fraction]) -> Vec:
         res = linalg.residue(list(vec), self.ideal.reduced, self.ideal.pivots)
         return [res[p] for p in self.positions]
-
-    def project(self, vec: Sequence[Fraction]) -> Vec:
-        return self._project_raw(vec)
 
     def lift(self, vec: Sequence[Fraction]) -> Vec:
         """The coordinate section: quotient coordinates back into the algebra."""
@@ -254,12 +208,6 @@ class QuotientAlgebra:
         for coeff, p in zip(vec, self.positions):
             out[p] = Fraction(coeff)
         return out
-
-
-def quotient_by_ideal(algebra: LieAlgebraFD, ideal: LieIdeal) -> QuotientAlgebra:
-    if ideal.ambient is not algebra:
-        raise ValueError("ideal lives in a different algebra")
-    return QuotientAlgebra(ideal)
 
 
 def quotient_module(quotient: QuotientAlgebra, h1: H1Quotient, module: LieModuleFD) -> LieModuleFD:
@@ -274,14 +222,10 @@ def pullback_cochain(
 ) -> CochainCE:
     """Precompose a cochain on L/V with the quotient map."""
     g = quotient.ideal.ambient
+    projected = [quotient.project(unit) for unit in linalg.identity(g.dim)]
     data = {}
     for blade in g.blades(w.grade):
-        arguments = []
-        for i in blade:
-            unit = [Fraction(0)] * g.dim
-            unit[i] = Fraction(1)
-            arguments.append(quotient.project(unit))
-        data[blade] = tuple(w.evaluate(arguments))
+        data[blade] = tuple(w.evaluate([projected[i] for i in blade]))
     return CochainCE(g, ambient_module, w.grade, data)
 
 
@@ -337,30 +281,25 @@ def characteristic_class(
     """The obstruction class of the ideal in H^2(L/V, V/[V,V])."""
     g = ideal.ambient
     h1, module = h1_module(ideal)
-    quotient = quotient_by_ideal(g, ideal)
+    quotient = QuotientAlgebra(ideal)
     q_module = quotient_module(quotient, h1, module)
     if h1.dim == 0 or len(quotient.positions) < 2:
         empty = CochainCE(quotient.algebra, q_module, 2)
         return CharClassResult(ideal, h1, quotient, q_module, empty, ())
     alpha = projection_form(ideal, projection, h1, module)
     dalpha = ce_coboundary(alpha)
+    units = linalg.identity(g.dim)
     for row in ideal.rows:
-        for i in range(g.dim):
-            unit = [Fraction(0)] * g.dim
-            unit[i] = Fraction(1)
+        for unit in units:
             if any(dalpha.evaluate([list(row), unit])):
                 raise RuntimeError(
                     "coboundary of the projection form is not annihilated by "
                     "the ideal; this indicates a bug"
                 )
+    lifts = [quotient.lift(unit) for unit in linalg.identity(quotient.algebra.dim)]
     data = {}
     for blade in quotient.algebra.blades(2):
-        lifts = []
-        for j in blade:
-            unit_q = [Fraction(0)] * quotient.algebra.dim
-            unit_q[j] = Fraction(1)
-            lifts.append(quotient.lift(unit_q))
-        data[blade] = tuple(dalpha.evaluate(lifts))
+        data[blade] = tuple(dalpha.evaluate([lifts[j] for j in blade]))
     descended = CochainCE(quotient.algebra, q_module, 2, data)
     if not ce_coboundary(descended).is_zero:
         raise RuntimeError("descended 2-cochain is not closed; this indicates a bug")
@@ -392,50 +331,8 @@ def abelianize(algebra: LieAlgebraFD, ideal: LieIdeal) -> Abelianization:
 
         return Abelianization(algebra, ideal, identity)
     vv = LieIdeal(algebra, reduced)
-    quotient = quotient_by_ideal(algebra, vv)
+    quotient = QuotientAlgebra(vv)
     image_rows = [quotient.project(row) for row in ideal.rows]
     image_reduced, _ = linalg.rref(image_rows)
     new_ideal = LieIdeal(quotient.algebra, image_reduced)
     return Abelianization(quotient.algebra, new_ideal, quotient.project)
-
-
-def abelianized_class_agrees(
-    algebra: LieAlgebraFD,
-    ideal: LieIdeal,
-    projection: Optional[ProjectionOperator] = None,
-) -> bool:
-    """Whether the class computed before and after abelianizing coincides
-    under the canonical identification of the two quotient pictures."""
-    before = characteristic_class(ideal, projection)
-    ab = abelianize(algebra, ideal)
-    after = characteristic_class(ab.ideal)
-    if before.h1.dim != after.h1.dim:
-        return False
-    if before.h1.dim == 0:
-        return before.is_zero and after.is_zero
-    # identify the two quotient algebras via images of coordinate lifts
-    q_a, q_b = before.quotient, after.quotient
-    n_a = q_a.algebra.dim
-    if n_a != q_b.algebra.dim:
-        return False
-    m_cols = []
-    for j in range(n_a):
-        unit_q = [Fraction(0)] * n_a
-        unit_q[j] = Fraction(1)
-        m_cols.append(q_b.project(ab.project(q_a.lift(unit_q))))
-    # identify the class modules via images of representatives
-    n_cols = [after.h1.reduce(ab.project(rep)) for rep in before.h1.representatives]
-    n_matrix = [[n_cols[c][r] for c in range(len(n_cols))] for r in range(before.h1.dim)]
-    n_inverse = linalg.invert(n_matrix)
-    if n_inverse is None:
-        return False
-    # pull the abelianized form back and compare modulo exact cochains
-    data = {}
-    for blade in q_a.algebra.blades(2):
-        value = after.form.evaluate([m_cols[blade[0]], m_cols[blade[1]]])
-        data[blade] = tuple(linalg.matvec(n_inverse, value))
-    pulled = CochainCE(q_a.algebra, before.module, 2, data)
-    difference = before.form - pulled
-    exact_rows = linalg.transpose(coboundary_matrix(q_a.algebra, before.module, 1))
-    reduced, pivots = linalg.rref(exact_rows)
-    return not any(linalg.residue(difference.coordinates(), reduced, pivots))

@@ -22,7 +22,7 @@ from .specfile import (
     Query,
     SpecDocument,
     SpecFileError,
-    _parse_combo,
+    parse_combo,
     parse_spec_text,
 )
 from .tensors import DifferentialForm, MultivectorField, schouten_bracket
@@ -32,10 +32,6 @@ Pairs = list[tuple[str, str]]
 
 class ValidationFailure(ValueError):
     """A query referenced something undefined or violated a precondition."""
-
-
-def _fraction_tuple_str(values: Sequence[Fraction]) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
 
 
 class _Runner:
@@ -173,7 +169,7 @@ class _Runner:
                 pairs.append(
                     ("class_at_point", self.combo_str(blades, result.class_at(point)))
                 )
-            pairs.append(("point", _fraction_tuple_str(point)))
+            pairs.append(("point", connection.point_str(point)))
         return pairs
 
     def q_flat_sections(self, query: Query) -> Pairs:
@@ -188,7 +184,7 @@ class _Runner:
         return [
             ("status", "ok"),
             ("ideal", query.options["ideal"]),
-            ("point", _fraction_tuple_str(point) if point is not None else "(base)"),
+            ("point", connection.point_str(point) if point is not None else "(base)"),
             ("grade", str(grade)),
             ("transversal_basis", ", ".join(self.blade_str(b) for b in blades) or "(none)"),
             ("flat_section_basis", basis),
@@ -225,7 +221,7 @@ class _Runner:
         rows = []
         for chunk in str(query.options["ideal"]).split(";"):
             try:
-                combo = _parse_combo(chunk.strip(), g.labels, query.line)
+                combo = parse_combo(chunk.strip(), g.labels, query.line)
             except SpecFileError as exc:
                 raise ValidationFailure(str(exc)) from None
             vec = [Fraction(0)] * g.dim

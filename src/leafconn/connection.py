@@ -51,6 +51,11 @@ class NotOnLeafError(ValueError):
     """A point fails to annihilate the leaf ideal's generators."""
 
 
+def point_str(point: Sequence[Fraction]) -> str:
+    """A point as reports print it, e.g. ``(0, 1/2)``."""
+    return "(" + ", ".join(str(c) for c in point) + ")"
+
+
 class LeafContext:
     """A verified (Poisson structure, leaf ideal, optional base point) triple."""
 
@@ -80,7 +85,7 @@ class LeafContext:
         pt = tuple(Fraction(c) for c in point)
         for g in self.ideal.generators:
             if g.evaluate(pt) != 0:
-                raise NotOnLeafError(f"generator {g} does not vanish at {pt}")
+                raise NotOnLeafError(f"generator {g} does not vanish at {point_str(pt)}")
         return pt
 
     def normal_form(self, p: Polynomial) -> Polynomial:

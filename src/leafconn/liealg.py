@@ -29,18 +29,10 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg
+from .tensors import merge_sign
 
 Vec = list[Fraction]
 IndexTuple = tuple[int, ...]
-
-
-def _insert_sign(element: int, rest: IndexTuple) -> tuple[IndexTuple, int]:
-    """Sorted insertion of one index into an increasing tuple, with parity."""
-    if element in rest:
-        return (), 0
-    before = sum(1 for r in rest if r < element)
-    merged = tuple(sorted(rest + (element,)))
-    return merged, (-1 if before % 2 else 1)
 
 
 class LieAlgebraFD:
@@ -342,12 +334,9 @@ class ChainElement:
         data: dict[IndexTuple, Fraction] = {}
         for left, c1 in self.components.items():
             for right, c2 in other.components.items():
-                if set(left) & set(right):
-                    continue
-                inversions = sum(1 for a in left for b in right if a > b)
-                merged = tuple(sorted(left + right))
-                value = c1 * c2 * (-1 if inversions % 2 else 1)
-                data[merged] = data.get(merged, Fraction(0)) + value
+                merged, sign = merge_sign(left, right)
+                if sign != 0:
+                    data[merged] = data.get(merged, Fraction(0)) + c1 * c2 * sign
         return ChainElement(self.algebra, self.grade + other.grade, data)
 
     def __eq__(self, other: object) -> bool:
@@ -399,7 +388,7 @@ def boundary_delta(u: ChainElement) -> ChainElement:
                 for t, c in enumerate(bracket):
                     if not c:
                         continue
-                    merged, sign = _insert_sign(t, rest)
+                    merged, sign = merge_sign((t,), rest)
                     if sign == 0:
                         continue
                     value = coeff * c * pair_sign * sign
@@ -445,9 +434,9 @@ class HomologyGrade:
 def homology(g: LieAlgebraFD) -> list[HomologyGrade]:
     """Exact homology of the boundary complex, grades 0..dim."""
     out = []
+    dm: list[Vec] = []  # delta_matrix(g, m), carried over from grade m - 1
     for m in range(g.dim + 1):
         blades = g.blades(m)
-        dm = delta_matrix(g, m) if m >= 1 else []
         kernel = (
             linalg.nullspace(dm, len(blades)) if m >= 1 else [[Fraction(1)]]
         )
@@ -475,6 +464,7 @@ def homology(g: LieAlgebraFD) -> list[HomologyGrade]:
         rank_image = len(reduced)
         dim_h = len(kernel) - rank_image
         out.append(HomologyGrade(m, dim_h, reps))
+        dm = next_matrix
     return out
 
 
@@ -664,7 +654,7 @@ def ce_coboundary(w: CochainCE) -> CochainCE:
                 for t, c in enumerate(g.bracket_basis(blade[p], blade[q])):
                     if not c:
                         continue
-                    merged, sign = _insert_sign(t, rest)
+                    merged, sign = merge_sign((t,), rest)
                     if sign == 0:
                         continue
                     value = w.value_on_blade(merged)
@@ -681,10 +671,9 @@ def coboundary_matrix(g: LieAlgebraFD, S: LieModuleFD, grade: int) -> list[Vec]:
     ncols = len(source) * m
     rows_len = len(g.blades(grade + 1)) * m
     columns = []
-    for k, blade in enumerate(source):
-        for r in range(m):
-            unit = [Fraction(0)] * m
-            unit[r] = Fraction(1)
+    units = linalg.identity(m)
+    for blade in source:
+        for unit in units:
             w = CochainCE(g, S, grade, {blade: unit})
             columns.append(ce_coboundary(w).coordinates())
     return [[columns[c][row] for c in range(ncols)] for row in range(rows_len)]
@@ -718,33 +707,3 @@ def is_coboundary(w: CochainCE) -> Optional[CochainCE]:
     if solution is None:
         return None
     return CochainCE.from_coordinates(g, S, w.grade - 1, solution)
-
-
-def lemma_equivalence_probe(
-    g: LieAlgebraFD, S: LieModuleFD, trials: int = 10, seed: int = 0
-) -> bool:
-    """Multilinearity of coboundaries over scalar coefficients, checked on
-    random data; scaling any single argument scales the value."""
-    import random
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        grade = rng.randint(0, max(g.dim - 1, 0))
-        data = {}
-        for blade in g.blades(grade):
-            data[blade] = tuple(Fraction(rng.randint(-3, 3)) for _ in range(S.dim))
-        w = CochainCE(g, S, grade, data)
-        dw = ce_coboundary(w)
-        vectors = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(g.dim)]
-            for _ in range(grade + 1)
-        ]
-        a = Fraction(rng.randint(-5, 5))
-        base = dw.evaluate(vectors)
-        for position in range(grade + 1):
-            scaled = [list(v) for v in vectors]
-            scaled[position] = [a * c for c in scaled[position]]
-            got = dw.evaluate(scaled)
-            if got != [a * c for c in base]:
-                return False
-    return True

@@ -126,7 +126,8 @@ def identity(n: int) -> Mat:
 def invert(rows: Sequence[Sequence[Fraction]]) -> Mat | None:
     """Exact inverse of a square matrix, or ``None`` if singular."""
     n = len(rows)
-    augmented = [list(map(Fraction, row)) + identity(n)[i] for i, row in enumerate(rows)]
+    units = identity(n)
+    augmented = [list(map(Fraction, row)) + units[i] for i, row in enumerate(rows)]
     reduced, pivots = rref(augmented)
     if pivots != list(range(n)):
         return None

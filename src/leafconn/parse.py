@@ -24,7 +24,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Polynomial, UnknownVariable, VarContext
+from .poly import Polynomial, VarContext
+from .tensors import DifferentialForm, MultivectorField, merge_sign
+
+# Each level of parentheses costs four frames of recursion; the bound keeps
+# hostile input far below the interpreter's recursion limit.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<number>\d+)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))")
 
@@ -37,7 +42,8 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` tokens, kind being number, ident or op."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -58,7 +64,8 @@ class _Parser:
         self.text = text
         self.context = context
         self.mode = mode  # "poly" | "mv" | "form"
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text)
+        self.depth = 0  # open parentheses around the current position
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -128,16 +135,17 @@ class _Parser:
         return numerator * (Fraction(1) / value)
 
     def poly_factor(self) -> Polynomial:
-        if self._accept_op("-") is not None:
-            return -self.poly_factor()
-        base = self.poly_atom()
+        negate = False
+        while self._accept_op("-") is not None:
+            negate = not negate
+        result = self.poly_atom()
         if self._accept_op("^") is not None:
             token = self._peek()
             if not token or token[0] != "number":
                 self._fail_here("exponent must be a non-negative integer literal")
             self._next()
-            return base ** int(token[1])
-        return base
+            result = result ** int(token[1])
+        return -result if negate else result
 
     def poly_atom(self) -> Polynomial:
         token = self._peek()
@@ -153,8 +161,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", where)
             return Polynomial.variable(self.context, value)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", where)
             self._next()
+            self.depth += 1
             inner = self.poly_expr()
+            self.depth -= 1
             self._expect_op(")")
             return inner
         raise ParseError(f"unexpected token {value!r}", where)
@@ -202,16 +214,12 @@ class _Parser:
                 indices.append(self._blade_index())
             else:
                 break
-        if len(set(indices)) != len(indices):
-            return tuple(indices), 0
+        blade: tuple[int, ...] = ()
         sign = 1
-        order = list(indices)
-        for i in range(len(order)):  # bubble sort, counting swaps
-            for j in range(len(order) - 1 - i):
-                if order[j] > order[j + 1]:
-                    order[j], order[j + 1] = order[j + 1], order[j]
-                    sign = -sign
-        return tuple(order), sign
+        for index in indices:
+            blade, factor = merge_sign(blade, (index,))
+            sign *= factor
+        return (tuple(indices), 0) if sign == 0 else (blade, sign)
 
     def _blade_follows_caret(self) -> bool:
         saved = self.pos
@@ -260,11 +268,8 @@ class _Parser:
                 self._fail_here(f"mixed grades in one expression ({grade} and {declared})")
             if coeff.is_zero:
                 return
-            new = components.get(indices, Polynomial.zero(self.context)) + coeff
-            if new.is_zero:
-                components.pop(indices, None)
-            else:
-                components[indices] = new
+            # zero sums stay for the tensor constructor to drop
+            components[indices] = components[indices] + coeff if indices in components else coeff
 
         term_grade, indices, coeff = self.tensor_term()
         add(term_grade, indices, coeff * sign)
@@ -289,18 +294,14 @@ def parse_polynomial(text: str, context: VarContext) -> Polynomial:
     return result
 
 
-def parse_multivector(text: str, context: VarContext):
-    from .tensors import MultivectorField
-
+def parse_multivector(text: str, context: VarContext) -> MultivectorField:
     parser = _Parser(text, context, "mv")
     grade, components = parser.tensor_expr()
     parser.finish()
     return MultivectorField(context, grade, components)
 
 
-def parse_form(text: str, context: VarContext):
-    from .tensors import DifferentialForm
-
+def parse_form(text: str, context: VarContext) -> DifferentialForm:
     parser = _Parser(text, context, "form")
     grade, components = parser.tensor_expr()
     parser.finish()

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .parse import ParseError, _tokenize, parse_form, parse_multivector, parse_polynomial
+from .parse import ParseError, parse_form, parse_multivector, parse_polynomial, tokenize
 from .poly import Polynomial, VarContext
 from .tensors import DifferentialForm, MultivectorField
 
@@ -126,10 +126,10 @@ def _parse_matrix(value: str, line: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def _parse_combo(text: str, labels: tuple[str, ...], line: int) -> dict[str, Fraction]:
+def parse_combo(text: str, labels: tuple[str, ...], line: int) -> dict[str, Fraction]:
     """A rational linear combination of labels, e.g. ``2*e - h/2`` or ``0``."""
     try:
-        tokens = _tokenize(text)
+        tokens = tokenize(text)
     except ParseError as exc:
         raise SpecFileError(str(exc), line) from None
     out: dict[str, Fraction] = {}
@@ -356,7 +356,7 @@ class _SpecParser:
             raise SpecFileError(f"duplicate bracket relation for ({a}, {b})", line)
         if a == b:
             raise SpecFileError("a bracket of a label with itself is zero", line)
-        section.relations[(a, b)] = _parse_combo(rhs, self.algebra_labels, line)
+        section.relations[(a, b)] = parse_combo(rhs, self.algebra_labels, line)
 
     def on_query(self, name: Optional[str], text: str, line: int) -> None:
         query = self.doc.queries[-1]

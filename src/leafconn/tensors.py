@@ -44,26 +44,23 @@ class GradeError(ValueError):
 def merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple, int]:
     """Sorted concatenation of two increasing index tuples and its parity.
 
-    Returns sign 0 when the tuples share an index.
+    Returns sign 0 when the tuples share an index.  This is the one blade
+    sign kernel: every wedge, bracket and boundary sign goes through it.
     """
-    if set(left) & set(right):
-        return (), 0
-    inversions = sum(1 for a in left for b in right if a > b)
-    merged = tuple(sorted(left + right))
-    return merged, (-1 if inversions % 2 else 1)
+    inversions = 0
+    for a in left:
+        for b in right:
+            if a == b:
+                return (), 0
+            if a > b:
+                inversions += 1
+    return tuple(sorted(left + right)), (-1 if inversions % 2 else 1)
 
 
-def _sort_with_sign(indices: tuple[int, ...]) -> tuple[IndexTuple, int]:
-    if len(set(indices)) != len(indices):
-        return (), 0
-    order = list(indices)
-    sign = 1
-    for i in range(len(order)):
-        for j in range(len(order) - 1 - i):
-            if order[j] > order[j + 1]:
-                order[j], order[j + 1] = order[j + 1], order[j]
-                sign = -sign
-    return tuple(order), sign
+def _accumulate(out: dict[IndexTuple, Polynomial], key: IndexTuple, value: Polynomial) -> None:
+    """Add ``value`` into ``out[key]``; zero sums stay for the constructor to drop."""
+    previous = out.get(key)
+    out[key] = value if previous is None else previous + value
 
 
 class _GradedTensor:
@@ -124,11 +121,7 @@ class _GradedTensor:
             return self
         components = dict(self._components)
         for indices, coeff in other._components.items():
-            new = components.get(indices, Polynomial.zero(self.context)) + coeff
-            if new.is_zero:
-                components.pop(indices, None)
-            else:
-                components[indices] = new
+            _accumulate(components, indices, coeff)
         return type(self)(self.context, self.grade, components)
 
     def __neg__(self) -> "_GradedTensor":
@@ -172,14 +165,8 @@ class _GradedTensor:
         for left, c1 in self._components.items():
             for right, c2 in other._components.items():
                 merged, sign = merge_sign(left, right)
-                if sign == 0:
-                    continue
-                coeff = c1 * c2 * sign
-                new = components.get(merged, Polynomial.zero(self.context)) + coeff
-                if new.is_zero:
-                    components.pop(merged, None)
-                else:
-                    components[merged] = new
+                if sign != 0:
+                    _accumulate(components, merged, c1 * c2 * sign)
         return type(self)(self.context, grade, components)
 
     def __xor__(self, other: "_GradedTensor") -> "_GradedTensor":
@@ -301,17 +288,12 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
             if dj.is_zero:
                 continue
             merged, sign = merge_sign((j,), indices)
-            if sign == 0:
-                continue
-            new = components.get(merged, Polynomial.zero(context)) + dj * sign
-            if new.is_zero:
-                components.pop(merged, None)
-            else:
-                components[merged] = new
+            if sign != 0:
+                _accumulate(components, merged, dj * sign)
     return DifferentialForm(context, form.grade + 1, components)
 
 
-def _contract_one(j: int, grade: int, components: dict[IndexTuple, Polynomial], context: VarContext):
+def _contract_one(j: int, components: dict[IndexTuple, Polynomial]) -> dict[IndexTuple, Polynomial]:
     """Single first-slot contraction i_{d/dx_j} on form components."""
     out: dict[IndexTuple, Polynomial] = {}
     for indices, coeff in components.items():
@@ -319,13 +301,8 @@ def _contract_one(j: int, grade: int, components: dict[IndexTuple, Polynomial], 
             continue
         pos = indices.index(j)
         sign = -1 if pos % 2 else 1
-        rest = indices[:pos] + indices[pos + 1 :]
-        new = out.get(rest, Polynomial.zero(context)) + coeff * sign
-        if new.is_zero:
-            out.pop(rest, None)
-        else:
-            out[rest] = new
-    return grade - 1, out
+        _accumulate(out, indices[:pos] + indices[pos + 1 :], coeff * sign)
+    return out
 
 
 def _contract(field: MultivectorField, form: DifferentialForm) -> DifferentialForm:
@@ -339,16 +316,12 @@ def _contract(field: MultivectorField, form: DifferentialForm) -> DifferentialFo
         return form.scale(field.scalar_part())
     total: dict[IndexTuple, Polynomial] = {}
     for indices, coeff in field._components.items():
-        grade, work = form.grade, dict(form._components)
+        work = form._components
         # Innermost factor first: i_{X_1 ^ ... ^ X_p} = i_{X_1} o ... o i_{X_p}.
         for j in reversed(indices):
-            grade, work = _contract_one(j, grade, work, context)
+            work = _contract_one(j, work)
         for rest, value in work.items():
-            new = total.get(rest, Polynomial.zero(context)) + coeff * value
-            if new.is_zero:
-                total.pop(rest, None)
-            else:
-                total[rest] = new
+            _accumulate(total, rest, coeff * value)
     return DifferentialForm(context, form.grade - field.grade, total)
 
 
@@ -387,12 +360,7 @@ def contract_covector(alpha: DifferentialForm, field: MultivectorField) -> Multi
             if a is None:
                 continue
             sign = -1 if pos % 2 else 1
-            rest = indices[:pos] + indices[pos + 1 :]
-            new = out.get(rest, Polynomial.zero(context)) + a * coeff * sign
-            if new.is_zero:
-                out.pop(rest, None)
-            else:
-                out[rest] = new
+            _accumulate(out, indices[:pos] + indices[pos + 1 :], a * coeff * sign)
     return MultivectorField(context, field.grade - 1, out)
 
 
@@ -420,12 +388,7 @@ def _scalar_bracket(big: MultivectorField, f: Polynomial) -> MultivectorField:
             if df.is_zero:
                 continue
             sign = -1 if pos % 2 else 1
-            rest = indices[:pos] + indices[pos + 1 :]
-            new = out.get(rest, Polynomial.zero(context)) + coeff * df * sign
-            if new.is_zero:
-                out.pop(rest, None)
-            else:
-                out[rest] = new
+            _accumulate(out, indices[:pos] + indices[pos + 1 :], coeff * df * sign)
     return MultivectorField(context, big.grade - 1, out)
 
 
@@ -453,16 +416,6 @@ def schouten_bracket(u: MultivectorField, v: MultivectorField) -> MultivectorFie
     one = Polynomial.constant(context, 1)
     prefactor = 1 if (p + 1) % 2 == 0 else -1
     out: dict[IndexTuple, Polynomial] = {}
-
-    def accumulate(indices: IndexTuple, coeff: Polynomial) -> None:
-        if coeff.is_zero:
-            return
-        new = out.get(indices, Polynomial.zero(context)) + coeff
-        if new.is_zero:
-            out.pop(indices, None)
-        else:
-            out[indices] = new
-
     for iu, cu in u._components.items():
         for iv, cv in v._components.items():
             # Decompose cu * d_I as (cu d_{i_1}) ^ d_{i_2} ^ ... and likewise
@@ -471,6 +424,9 @@ def schouten_bracket(u: MultivectorField, v: MultivectorField) -> MultivectorFie
             for a in range(p):
                 for b in range(q):
                     if a > 0 and b > 0:
+                        continue
+                    rest, rest_sign = merge_sign(iu[:a] + iu[a + 1 :], iv[:b] + iv[b + 1 :])
+                    if rest_sign == 0:
                         continue
                     ca = cu if a == 0 else one
                     cb = cv if b == 0 else one
@@ -486,12 +442,9 @@ def schouten_bracket(u: MultivectorField, v: MultivectorField) -> MultivectorFie
                     if not bracket_terms:
                         continue
                     leftover = (one if a == 0 else cu) * (one if b == 0 else cv)
-                    rest_u = iu[:a] + iu[a + 1 :]
-                    rest_v = iv[:b] + iv[b + 1 :]
                     pair_sign = -1 if (a + b) % 2 else 1  # (-1)^(i+j), 1-based
                     for coeff, k in bracket_terms:
-                        merged, sign = _sort_with_sign((k,) + rest_u + rest_v)
-                        if sign == 0:
-                            continue
-                        accumulate(merged, coeff * leftover * (prefactor * pair_sign * sign))
+                        merged, sign = merge_sign((k,), rest)
+                        if sign != 0:
+                            _accumulate(out, merged, coeff * leftover * (prefactor * pair_sign * rest_sign * sign))
     return MultivectorField(context, p + q - 1, out)

@@ -4,18 +4,16 @@ from fractions import Fraction
 import pytest
 
 from leafconn.charclass import (
+    H1Quotient,
     LieIdeal,
     ProjectionOperator,
+    QuotientAlgebra,
     abelianize,
-    abelianized_class_agrees,
     action_on_h1,
     characteristic_class,
-    complement_submodule,
     h1_module,
-    h1_of_ideal,
     projection_form,
     pullback_cochain,
-    quotient_by_ideal,
 )
 from leafconn.liealg import (
     abelian_algebra,
@@ -25,6 +23,8 @@ from leafconn.liealg import (
     is_closed_cochain,
     sl2,
 )
+
+import support
 
 F = Fraction
 
@@ -52,18 +52,13 @@ def test_ideal_membership_and_coordinates():
 
 def test_commutator_quotient_of_ideal():
     h3, ideal = center_of_heisenberg()
-    h1 = h1_of_ideal(ideal)
+    h1 = H1Quotient(ideal)
     assert h1.dim == 1
     assert h1.labels == ("[h]",)
     assert h1.reduce([F(0), F(0), F(3)]) == [F(3)]
     big = direct_sum(sl2(), heisenberg3())
     V = LieIdeal.from_labels(big, "e", "f", "h", "h2")
-    assert h1_of_ideal(V).dim == 1
-
-
-def test_complement_always_complete():
-    _, ideal = center_of_heisenberg()
-    assert complement_submodule(ideal).verdict == "complete"
+    assert H1Quotient(V).dim == 1
 
 
 def test_action_on_commutator_quotient():
@@ -145,7 +140,7 @@ def test_class_independent_of_projection():
 
 def test_quotient_algebra():
     h3, ideal = center_of_heisenberg()
-    quotient = quotient_by_ideal(h3, ideal)
+    quotient = QuotientAlgebra(ideal)
     assert quotient.algebra.labels == ("e", "f")
     assert quotient.project([F(1), F(2), F(9)]) == [F(1), F(2)]
     lifted = quotient.lift([F(1), F(2)])
@@ -177,7 +172,7 @@ def test_abelianize():
 
 def test_abelianization_preserves_class():
     h3, center = center_of_heisenberg()
-    assert abelianized_class_agrees(h3, center)
+    assert support.abelianized_class_agrees(h3, center)
     big = direct_sum(sl2(), heisenberg3())
     V = LieIdeal.from_labels(big, "e", "f", "h", "h2")
-    assert abelianized_class_agrees(big, V)
+    assert support.abelianized_class_agrees(big, V)

@@ -1,9 +1,11 @@
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import leafconn
 from leafconn.cli import main
 from leafconn.parse import parse_multivector
 from leafconn.poly import VarContext
@@ -38,9 +40,13 @@ def test_report_to_stdout(capsys):
 
 
 def test_module_entry_point():
+    # The child process imports the same leafconn as this one, installed or not.
+    src = str(pathlib.Path(leafconn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "leafconn.cli", "--spec", str(DATA / "char_class.spec")],
         capture_output=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == (DATA / "char_class.report").read_bytes()
@@ -84,6 +90,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
     assert main(["--spec", str(tmp_path / "no_such_file.spec")]) == 3
     assert main(["--spec", str(DATA / "check_poisson.spec"), "--degree-bound", "-1"]) == 3
+
+
+def test_deep_nesting_is_parse_error(tmp_path, capsys):
+    spec = tmp_path / "deep.spec"
+    spec.write_text("[variables]\nx, y\n\n[bivector]\nx ^ y = " + "(" * 3000 + "x" + ")" * 3000 + "\n")
+    assert main(["--spec", str(spec)]) == 3
+    err = capsys.readouterr().err
+    assert "parse error: line 5: parentheses nested deeper than 100 levels" in err
+    assert "Traceback" not in err
+
+
+def test_off_leaf_point_prints_rationals(tmp_path):
+    spec = tmp_path / "offleaf.spec"
+    spec.write_text(
+        "[variables]\nx, y, z\n\n[bivector]\nx ^ y = 1\n\n"
+        "[ideal plane]\nz - 1\n\n[query flat-sections]\nideal = plane\npoint = 1/2, 0, 0\n"
+    )
+    code, report = run_to_file(spec, tmp_path)
+    assert code == 2
+    assert "error = generator z - 1 does not vanish at (1/2, 0, 0)\n" in report.decode()
 
 
 def test_degree_bound_default_shows_in_report(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from leafconn.parse import ParseError, parse_form, parse_multivector, parse_polynomial
+from leafconn.parse import MAX_NESTING, ParseError, parse_form, parse_multivector, parse_polynomial
 from leafconn.poly import Polynomial, VarContext
 from leafconn.tensors import DifferentialForm, MultivectorField
 
@@ -39,6 +39,17 @@ def test_polynomial_errors_carry_position():
         parse_polynomial("x ^ y", CTX)
     with pytest.raises(ParseError):
         parse_polynomial("(x", CTX)
+
+
+def test_nesting_is_bounded():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deepest, CTX) == Polynomial.variable(CTX, "x")
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_polynomial("(" + deepest + ")", CTX)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_multivector("(" * 3000 + "x" + ")" * 3000 + " * d/dx", CTX)
+    # A run of unary minus signs is not nesting.
+    assert parse_polynomial("-" * 3001 + "x", CTX) == -Polynomial.variable(CTX, "x")
 
 
 def test_multivector_parsing():

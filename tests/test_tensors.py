@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -43,6 +44,17 @@ def test_merge_sign():
     assert merge_sign((1,), (0,)) == ((0, 1), -1)
     assert merge_sign((0,), (0,)) == ((), 0)
     assert merge_sign((), (0, 1)) == ((0, 1), 1)
+    # Every pair of increasing tuples over range(6): the sign is the parity
+    # of the concatenation's inversion count, and overlap gives ((), 0).
+    tuples = [t for k in range(7) for t in itertools.combinations(range(6), k)]
+    for left in tuples:
+        for right in tuples:
+            if set(left) & set(right):
+                assert merge_sign(left, right) == ((), 0)
+                continue
+            word = left + right
+            inversions = sum(1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j])
+            assert merge_sign(left, right) == (tuple(sorted(word)), -1 if inversions % 2 else 1)
 
 
 def test_constructor_requires_increasing_blades():
