@@ -112,9 +112,7 @@ def action_on_h1(ideal: LieIdeal, h1: Optional[H1Quotient] = None) -> list[list[
     matrices = []
     for unit in linalg.identity(g.dim):
         columns = [h1.reduce(g.bracket(unit, rep)) for rep in h1.representatives]
-        matrices.append(
-            [[columns[c][r] for c in range(h1.dim)] for r in range(h1.dim)]
-        )
+        matrices.append(linalg.transpose(columns))
     return matrices
 
 
@@ -151,12 +149,11 @@ class ProjectionOperator:
     @classmethod
     def canonical(cls, ideal: LieIdeal) -> "ProjectionOperator":
         """Projection along the coordinate complement of the pivot columns."""
-        n = ideal.ambient.dim
         columns = []
-        for unit in linalg.identity(n):
+        for unit in linalg.identity(ideal.ambient.dim):
             res = linalg.residue(unit, ideal.reduced, ideal.pivots)
             columns.append([a - b for a, b in zip(unit, res)])
-        return cls(ideal, [[columns[c][r] for c in range(n)] for r in range(n)])
+        return cls(ideal, linalg.transpose(columns))
 
     def apply(self, vec: Sequence[Fraction]) -> Vec:
         return linalg.matvec(self.matrix, list(vec))
@@ -296,10 +293,11 @@ def characteristic_class(
                     "coboundary of the projection form is not annihilated by "
                     "the ideal; this indicates a bug"
                 )
-    lifts = [quotient.lift(unit) for unit in linalg.identity(quotient.algebra.dim)]
+    # The lifts are the unit vectors at the increasing quotient.positions, so
+    # evaluating on them reads one component of dalpha.
     data = {}
     for blade in quotient.algebra.blades(2):
-        data[blade] = tuple(dalpha.evaluate([lifts[j] for j in blade]))
+        data[blade] = dalpha.value_on_blade(tuple(quotient.positions[j] for j in blade))
     descended = CochainCE(quotient.algebra, q_module, 2, data)
     if not ce_coboundary(descended).is_zero:
         raise RuntimeError("descended 2-cochain is not closed; this indicates a bug")

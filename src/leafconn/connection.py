@@ -322,8 +322,7 @@ def flat_sections_at_point(
             extension = MultivectorField(leaf.context, grade, {blade: one})
             derivative = schouten_bracket(x_alpha, extension)
             columns.append(leaf.reduce_mod_tangent(derivative, point))
-        for out_index in range(m):
-            rows.append([columns[c][out_index] for c in range(m)])
+        rows.extend(linalg.transpose(columns))
     kernel = linalg.nullspace(rows, m)
     return complement, [tuple(v) for v in kernel]
 

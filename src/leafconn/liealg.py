@@ -14,8 +14,11 @@ the coboundary is the Koszul formula
     (dw)(X_1..X_{m+1}) = sum_i (-1)^(i-1) X_i w(..drop i..)
                        + sum_{i<j} (-1)^(i+j) w([X_i,X_j], ..drop i,j..),
 
-and the wedge-degree bracket is defined by the deviation of the boundary
-from being an odd derivation:
+whose bracket term is the transpose of the boundary: on a basis blade B
+it is sum_S (delta B)[S] w(S).  So the boundary, the coboundary and both
+of their matrices read one per-blade kernel, ``_blade_boundary``.  The
+wedge-degree bracket is defined by the deviation of the boundary from
+being an odd derivation:
 
     [u, v] = delta(u) ^ v + (-1)^m u ^ delta(v) - delta(u ^ v).
 
@@ -373,27 +376,31 @@ class ChainElement:
         return f"ChainElement({self})"
 
 
+def _blade_boundary(g: LieAlgebraFD, blade: IndexTuple) -> dict[IndexTuple, Fraction]:
+    """The boundary of one basis blade, sum_{a<b} (-1)^(a+b) [x_a, x_b] ^ rest,
+    keyed by the blades one grade lower; empty for grades 0 and 1."""
+    out: dict[IndexTuple, Fraction] = {}
+    for a in range(len(blade)):
+        for b in range(a + 1, len(blade)):
+            pair_sign = -1 if (a + b) % 2 else 1  # (-1)^(i+j) with 1-based i,j
+            rest = blade[:a] + blade[a + 1 : b] + blade[b + 1 :]
+            for t, c in enumerate(g.bracket_basis(blade[a], blade[b])):
+                if not c:
+                    continue
+                merged, sign = merge_sign((t,), rest)
+                if sign:
+                    out[merged] = out.get(merged, Fraction(0)) + c * pair_sign * sign
+    return out
+
+
 def boundary_delta(u: ChainElement) -> ChainElement:
     """The boundary operator; zero on grades 0 and 1."""
     g = u.algebra
-    if u.grade <= 1:
-        return ChainElement(g, max(u.grade - 1, 0))
     data: dict[IndexTuple, Fraction] = {}
     for idx, coeff in u.components.items():
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                pair_sign = -1 if (a + b) % 2 else 1  # (-1)^(i+j) with 1-based i,j
-                rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
-                bracket = g.bracket_basis(idx[a], idx[b])
-                for t, c in enumerate(bracket):
-                    if not c:
-                        continue
-                    merged, sign = merge_sign((t,), rest)
-                    if sign == 0:
-                        continue
-                    value = coeff * c * pair_sign * sign
-                    data[merged] = data.get(merged, Fraction(0)) + value
-    return ChainElement(g, u.grade - 1, data)
+        for face, c in _blade_boundary(g, idx).items():
+            data[face] = data.get(face, Fraction(0)) + coeff * c
+    return ChainElement(g, max(u.grade - 1, 0), data)
 
 
 def supercommutator(u: ChainElement, v: ChainElement) -> ChainElement:
@@ -408,17 +415,12 @@ def supercommutator(u: ChainElement, v: ChainElement) -> ChainElement:
 def delta_matrix(g: LieAlgebraFD, grade: int) -> list[Vec]:
     """Matrix rows of the boundary from grade to grade-1 blade coordinates."""
     source = g.blades(grade)
-    target = g.blades(max(grade - 1, 0))
-    position = {b: k for k, b in enumerate(target)}
-    columns = []
-    for blade in source:
-        image = boundary_delta(ChainElement.basis(g, blade))
-        col = [Fraction(0)] * len(target)
-        for idx, coeff in image.components.items():
-            col[position[idx]] = coeff
-        columns.append(col)
-    # rows: target coordinates, columns: source blades
-    return [[columns[c][r] for c in range(len(source))] for r in range(len(target))]
+    position = {b: k for k, b in enumerate(g.blades(max(grade - 1, 0)))}
+    rows = [[Fraction(0)] * len(source) for _ in position]
+    for col, blade in enumerate(source):
+        for face, c in _blade_boundary(g, blade).items():
+            rows[position[face]][col] = c
+    return rows
 
 
 class HomologyGrade:
@@ -437,30 +439,18 @@ def homology(g: LieAlgebraFD) -> list[HomologyGrade]:
     dm: list[Vec] = []  # delta_matrix(g, m), carried over from grade m - 1
     for m in range(g.dim + 1):
         blades = g.blades(m)
-        kernel = (
-            linalg.nullspace(dm, len(blades)) if m >= 1 else [[Fraction(1)]]
-        )
+        kernel = linalg.nullspace(dm, len(blades))
         next_matrix = delta_matrix(g, m + 1) if m + 1 <= g.dim else []
-        image_rows = (
-            linalg.transpose(next_matrix) if next_matrix else []
-        )
-        reduced, pivots = linalg.rref(image_rows)
+        reduced, pivots = linalg.rref(linalg.transpose(next_matrix))
         reps: list[ChainElement] = []
         rep_rows: list[Vec] = []
         rep_pivots: list[int] = []
         for vec in kernel:
             res = linalg.residue(vec, reduced, pivots)
-            extra = linalg.residue(res, rep_rows, rep_pivots) if rep_rows else res
+            extra = linalg.residue(res, rep_rows, rep_pivots)
             if any(extra):
-                combined = rep_rows + [extra]
-                rep_rows, rep_pivots = linalg.rref(combined)
-                reps.append(
-                    ChainElement(
-                        g, m, {b: c for b, c in zip(blades, res) if c}
-                    )
-                    if m >= 1
-                    else ChainElement(g, 0, {(): res[0]})
-                )
+                rep_rows, rep_pivots = linalg.rref(rep_rows + [extra])
+                reps.append(ChainElement(g, m, {b: c for b, c in zip(blades, res) if c}))
         rank_image = len(reduced)
         dim_h = len(kernel) - rank_image
         out.append(HomologyGrade(m, dim_h, reps))
@@ -632,51 +622,44 @@ def ce_coboundary(w: CochainCE) -> CochainCE:
     g = w.algebra
     S = w.module
     data: dict[IndexTuple, list[Fraction]] = {}
-
-    def accumulate(idx: IndexTuple, vec: Sequence[Fraction], factor: int) -> None:
-        if not any(vec):
-            return
-        cell = data.setdefault(idx, [Fraction(0)] * S.dim)
-        for r, c in enumerate(vec):
-            cell[r] += factor * c
-
     for blade in g.blades(w.grade + 1):
+        cell = [Fraction(0)] * S.dim
         for p in range(len(blade)):
-            rest = blade[:p] + blade[p + 1 :]
-            value = w.value_on_blade(rest)
-            if any(value):
-                acted = S.act_basis(blade[p], value)
-                accumulate(blade, acted, -1 if p % 2 else 1)
-        for p in range(len(blade)):
-            for q in range(p + 1, len(blade)):
-                pair_sign = -1 if (p + q) % 2 else 1
-                rest = blade[:p] + blade[p + 1 : q] + blade[q + 1 :]
-                for t, c in enumerate(g.bracket_basis(blade[p], blade[q])):
-                    if not c:
-                        continue
-                    merged, sign = merge_sign((t,), rest)
-                    if sign == 0:
-                        continue
-                    value = w.value_on_blade(merged)
-                    if any(value):
-                        factor = pair_sign * sign
-                        accumulate(blade, [c * v for v in value], factor)
+            value = w.components.get(blade[:p] + blade[p + 1 :])
+            if value:
+                sign = -1 if p % 2 else 1
+                for r, c in enumerate(S.act_basis(blade[p], value)):
+                    cell[r] += sign * c
+        for face, c in _blade_boundary(g, blade).items():
+            value = w.components.get(face)
+            if value:
+                for r, v in enumerate(value):
+                    cell[r] += c * v
+        data[blade] = cell
     return CochainCE(g, S, w.grade + 1, data)
 
 
 def coboundary_matrix(g: LieAlgebraFD, S: LieModuleFD, grade: int) -> list[Vec]:
     """Matrix rows of d from grade to grade+1 cochain coordinates."""
-    source = g.blades(grade)
     m = S.dim
-    ncols = len(source) * m
-    rows_len = len(g.blades(grade + 1)) * m
-    columns = []
-    units = linalg.identity(m)
-    for blade in source:
-        for unit in units:
-            w = CochainCE(g, S, grade, {blade: unit})
-            columns.append(ce_coboundary(w).coordinates())
-    return [[columns[c][row] for c in range(ncols)] for row in range(rows_len)]
+    position = {b: k * m for k, b in enumerate(g.blades(grade))}
+    ncols = len(position) * m
+    rows: list[Vec] = []
+    for blade in g.blades(grade + 1):
+        block = [[Fraction(0)] * ncols for _ in range(m)]
+        for p in range(len(blade)):
+            sign = -1 if p % 2 else 1
+            col = position[blade[:p] + blade[p + 1 :]]
+            for r, action_row in enumerate(S.matrices[blade[p]]):
+                for s, a in enumerate(action_row):
+                    if a:
+                        block[r][col + s] += sign * a
+        for face, c in _blade_boundary(g, blade).items():
+            col = position[face]
+            for r in range(m):
+                block[r][col + r] += c
+        rows.extend(block)
+    return rows
 
 
 def cohomology(g: LieAlgebraFD, S: LieModuleFD) -> list[tuple[int, int]]:
@@ -684,9 +667,8 @@ def cohomology(g: LieAlgebraFD, S: LieModuleFD) -> list[tuple[int, int]]:
     out = []
     ranks = {}
     for m in range(g.dim + 1):
-        matrix = coboundary_matrix(g, S, m)
         ncols = len(g.blades(m)) * S.dim
-        ranks[m] = linalg.rank(linalg.transpose(matrix)) if matrix else 0
+        ranks[m] = linalg.rank(coboundary_matrix(g, S, m))
         kernel_dim = ncols - ranks[m]
         image_dim = ranks[m - 1] if m >= 1 else 0
         out.append((m, kernel_dim - image_dim))

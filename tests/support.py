@@ -10,7 +10,15 @@ from typing import Optional
 
 from leafconn import linalg
 from leafconn.charclass import LieIdeal, ProjectionOperator, abelianize, characteristic_class
-from leafconn.liealg import CochainCE, LieAlgebraFD, LieModuleFD, ce_coboundary, coboundary_matrix
+from leafconn.liealg import (
+    ChainElement,
+    CochainCE,
+    LieAlgebraFD,
+    LieModuleFD,
+    boundary_delta,
+    ce_coboundary,
+    coboundary_matrix,
+)
 from leafconn.poly import Polynomial, VarContext
 from leafconn.tensors import DifferentialForm, MultivectorField
 
@@ -109,7 +117,38 @@ def rand_constant_covector(rng, context):
     return DifferentialForm(context, 1, acc)
 
 
+def adjoint(g):
+    """The adjoint module: basis element i acts by the matrix of [x_i, -]."""
+    n = g.dim
+    return LieModuleFD(
+        g,
+        [[[g.bracket_basis(i, s)[r] for s in range(n)] for r in range(n)] for i in range(n)],
+    )
+
+
 # -- reference checks -----------------------------------------------------------
+
+
+def reference_delta_matrix(g: LieAlgebraFD, grade: int) -> list:
+    """The boundary matrix from grade to grade-1, one column per basis blade
+    read off ``boundary_delta`` (rows are target coordinates)."""
+    target = g.blades(max(grade - 1, 0))
+    columns = []
+    for blade in g.blades(grade):
+        image = boundary_delta(ChainElement.basis(g, blade))
+        columns.append([image.components.get(b, Fraction(0)) for b in target])
+    return [[col[r] for col in columns] for r in range(len(target))]
+
+
+def reference_coboundary_matrix(g: LieAlgebraFD, S: LieModuleFD, grade: int) -> list:
+    """The coboundary matrix from grade to grade+1, one column per unit
+    cochain read off ``ce_coboundary`` (rows are target coordinates)."""
+    nrows = len(g.blades(grade + 1)) * S.dim
+    columns = []
+    for blade in g.blades(grade):
+        for unit in linalg.identity(S.dim):
+            columns.append(ce_coboundary(CochainCE(g, S, grade, {blade: unit})).coordinates())
+    return [[col[r] for col in columns] for r in range(nrows)]
 
 
 def lemma_equivalence_probe(

@@ -171,6 +171,20 @@ def test_char_class_non_ideal_is_validation_error(tmp_path):
     assert "leaves the subspace" in report.decode()
 
 
+@pytest.mark.parametrize("ideal", ["0", "h; 0"])
+def test_char_class_zero_row_is_rejected(ideal, tmp_path):
+    spec = tmp_path / "zero.spec"
+    spec.write_text(
+        "[lie_algebra heis]\nbasis = e, f, h\n[e, f] = h\n\n"
+        f"[query char-class]\nalgebra = heis\nideal = {ideal}\n"
+    )
+    code, report = run_to_file(spec, tmp_path)
+    assert code == 2
+    text = report.decode()
+    assert "status = error" in text
+    assert "error = ideal basis vectors must be linearly independent" in text
+
+
 def test_report_values_parse_back():
     text = (DATA / "flat_sections.report").read_text()
     values = dict(

@@ -11,7 +11,9 @@ from leafconn.liealg import (
     abelian_algebra,
     boundary_delta,
     ce_coboundary,
+    coboundary_matrix,
     cohomology,
+    delta_matrix,
     direct_sum,
     heisenberg3,
     homology,
@@ -180,15 +182,16 @@ def test_module_validation():
 
 def test_coboundary_squares_to_zero_random():
     rng = random.Random(71)
-    for g in (abelian_algebra(2), heisenberg3(), sl2()):
-        S = LieModuleFD.trivial(g)
+    modules = [(g, LieModuleFD.trivial(g)) for g in (abelian_algebra(2), heisenberg3(), sl2())]
+    modules += [(g, support.adjoint(g)) for g in (sl2(), heisenberg3())]
+    for g, S in modules:
         for _ in range(10):
             grade = rng.randint(0, g.dim - 2)
             w = CochainCE(
                 g,
                 S,
                 grade,
-                {b: (F(rng.randint(-3, 3)),) for b in g.blades(grade)},
+                {b: tuple(F(rng.randint(-3, 3)) for _ in range(S.dim)) for b in g.blades(grade)},
             )
             assert ce_coboundary(ce_coboundary(w)).is_zero
 
@@ -198,6 +201,21 @@ def test_cohomology_dimensions():
     assert cohomology(h3, LieModuleFD.trivial(h3)) == [(0, 1), (1, 2), (2, 2), (3, 1)]
     g = sl2()
     assert cohomology(g, LieModuleFD.trivial(g)) == [(0, 1), (1, 0), (2, 0), (3, 1)]
+    # Adjoint modules: Whitehead's lemmas kill everything for sl2; for h3,
+    # H^0 is the centre, H^1 = Der/Inn has dimension 6 - 2, H^3 is
+    # h3/[h3, h3], and H^2 follows from Euler characteristic 0.
+    assert cohomology(g, support.adjoint(g)) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert cohomology(h3, support.adjoint(h3)) == [(0, 1), (1, 4), (2, 5), (3, 2)]
+
+
+def test_matrices_match_unit_probing_references():
+    for g in (sl2(), so3(), heisenberg3(), direct_sum(sl2(), heisenberg3())):
+        for grade in range(g.dim + 1):
+            assert delta_matrix(g, grade) == support.reference_delta_matrix(g, grade)
+        for S in (LieModuleFD.trivial(g, 2), support.adjoint(g)):
+            for grade in range(g.dim + 1):
+                expected = support.reference_coboundary_matrix(g, S, grade)
+                assert coboundary_matrix(g, S, grade) == expected
 
 
 def test_volume_pairing_cocycle_is_exact():
