@@ -77,6 +77,9 @@ class LeafContext:
         if base_point is not None:
             self.base_point = self._validate_point(base_point)
         self._tangent: Optional[list[MultivectorField]] = None
+        # (point, grade) -> _quotient_data; the leaf is immutable after
+        # __init__, so a race only recomputes the same value
+        self._quotients: dict[tuple[Point, int], tuple] = {}
 
     def _validate_point(self, point: Sequence[Fraction | int]) -> Point:
         n = len(self.context)
@@ -133,6 +136,12 @@ class LeafContext:
 
     def _quotient_data(self, point: Point, grade: int):
         """Row-reduced span of (tangent wedge ambient) blades at the point."""
+        key = (point, grade)
+        if key not in self._quotients:
+            self._quotients[key] = self._reduce_tangent_span(point, grade)
+        return self._quotients[key]
+
+    def _reduce_tangent_span(self, point: Point, grade: int):
         blades = self.transversal_blades(grade)
         position = {b: k for k, b in enumerate(blades)}
         rows: list[list[Fraction]] = []
@@ -162,7 +171,7 @@ class LeafContext:
     def transversal_basis_at(self, at=None, grade: int = 1) -> list[tuple[int, ...]]:
         """Complement blades forming the transversal basis at a leaf point."""
         point = self._resolve_point(at)
-        return self._quotient_data(point, grade)[4]
+        return list(self._quotient_data(point, grade)[4])
 
     def reduce_mod_tangent(self, field: MultivectorField, at=None) -> tuple[Fraction, ...]:
         """Class of an evaluated multivector in the pointwise quotient.

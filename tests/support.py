@@ -219,3 +219,98 @@ def abelianized_class_agrees(
     exact_rows = linalg.transpose(coboundary_matrix(q_a.algebra, before.module, 1))
     reduced, pivots = linalg.rref(exact_rows)
     return not any(linalg.residue(difference.coordinates(), reduced, pivots))
+
+
+# -- dense reference linear algebra ------------------------------------------------
+# Plain left-to-right Gauss-Jordan on dense Fraction rows: the elimination
+# leafconn.linalg used before its sparse kernel, kept as a differential oracle.
+
+
+def ref_rref(rows):
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def ref_rank(rows):
+    return len(ref_rref(rows)[0])
+
+
+def ref_residue(vec, reduced, pivots):
+    out = [Fraction(x) for x in vec]
+    for row, col in zip(reduced, pivots):
+        if out[col]:
+            factor = out[col]
+            out = [a - factor * b for a, b in zip(out, row)]
+    return out
+
+
+def ref_nullspace(rows, ncols):
+    reduced, pivots = ref_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def ref_solve(rows, rhs):
+    if not rows:
+        return [] if not any(rhs) else None
+    ncols = len(rows[0])
+    reduced, pivots = ref_rref([[*row, b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    solution = [Fraction(0)] * ncols
+    for row, col in zip(reduced, pivots):
+        solution[col] = row[-1]
+    return solution
+
+
+def ref_invert(rows):
+    n = len(rows)
+    reduced, pivots = ref_rref([[*row, *unit] for row, unit in zip(rows, linalg.identity(n))])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def rand_sparse_matrix(rng, nrows, ncols, density):
+    """Random matrix with ``int`` and ``Fraction`` cells, about ``density``
+    nonzero, sometimes with a zero row and a repeated row."""
+    def cell():
+        if rng.random() >= density:
+            return rng.choice([0, Fraction(0)])
+        value = rand_fraction(rng, -4, 4)
+        return int(value) if value.denominator == 1 and rng.random() < 0.5 else value
+
+    rows = [[cell() for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    return rows

@@ -62,6 +62,15 @@ def test_transversal_space_at_point_leaf():
     assert leaf.reduce_mod_tangent(mv("d/dx + 3*d/dy")) == (Fraction(1), Fraction(3))
 
 
+def test_transversal_basis_is_a_copy():
+    leaf = plane_leaf()
+    basis = leaf.transversal_basis_at(None, 1)
+    assert basis == [(2,)]
+    basis.clear()
+    assert leaf.transversal_basis_at(None, 1) == [(2,)]
+    assert leaf.reduce_mod_tangent(mv("d/dx + 2*d/dz", CTX3)) == (Fraction(2),)
+
+
 def test_covariant_derivative_values():
     leaf = origin_leaf("x")
     d = covariant_derivative_transversal(leaf, form("dy"), mv("d/dx"))

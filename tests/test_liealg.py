@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from leafconn import linalg
 from leafconn.liealg import (
     ChainElement,
     CochainCE,
@@ -268,3 +269,17 @@ def test_zero_dimensional_algebra():
     assert [(h.grade, h.dimension) for h in homology(g)] == [(0, 1)]
     S = LieModuleFD.trivial(g)
     assert cohomology(g, S) == [(0, 1)]
+
+
+def test_homology_and_cohomology_unchanged_under_dense_reference(monkeypatch):
+    g = direct_sum(sl2(), heisenberg3())
+    S = LieModuleFD.trivial(g)
+
+    def snapshot():
+        grades = [(h.dimension, [r.components for r in h.representatives]) for h in homology(g)]
+        return grades, cohomology(g, S)
+
+    sparse = snapshot()
+    for name in ("rref", "rank", "residue", "nullspace", "solve"):
+        monkeypatch.setattr(linalg, name, getattr(support, f"ref_{name}"))
+    assert snapshot() == sparse
