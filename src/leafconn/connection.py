@@ -136,6 +136,8 @@ class LeafContext:
 
     def _quotient_data(self, point: Point, grade: int):
         """Row-reduced span of (tangent wedge ambient) blades at the point."""
+        if grade < 1:
+            raise GradeError(f"transversal grade must be at least 1, got {grade}")
         key = (point, grade)
         if key not in self._quotients:
             self._quotients[key] = self._reduce_tangent_span(point, grade)

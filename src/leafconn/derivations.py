@@ -71,15 +71,13 @@ def maps_into_ideal(field: MultivectorField, ideal: Ideal) -> bool:
 def _vector_to_field(
     context: VarContext, monos: Sequence[tuple[int, ...]], vec: Sequence[Fraction]
 ) -> MultivectorField:
-    n = len(context)
-    coeffs = [Polynomial.zero(context) for _ in range(n)]
+    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(len(context))]
     for k, value in enumerate(vec):
-        if value == 0:
-            continue
-        i, m = divmod(k, len(monos))
-        coeffs[i] = coeffs[i] + Polynomial.monomial(context, monos[m], value)
+        if value:
+            i, m = divmod(k, len(monos))
+            terms[i][monos[m]] = value
     return MultivectorField(
-        context, 1, {(i,): c for i, c in enumerate(coeffs) if not c.is_zero}
+        context, 1, {(i,): Polynomial(context, t) for i, t in enumerate(terms) if t}
     )
 
 
@@ -96,6 +94,26 @@ def _field_to_vector(
     return vec
 
 
+def _kernel(ideal: Ideal, columns: Sequence[Sequence[Polynomial]]) -> list[list[Fraction]]:
+    """Weights w with sum_k w[k] * columns[k][s] in the ideal for every slot s.
+
+    Normal forms are linear, so the conditions are: every coefficient of
+    every slot's normal-formed combination is zero, one row per (slot,
+    monomial).  Row order does not matter, because the nullspace basis is
+    read off the unique reduced row echelon form.
+    """
+    rows: list[list[Fraction]] = []
+    row_of: dict[tuple[int, tuple[int, ...]], int] = {}
+    for k, column in enumerate(columns):
+        for s, poly in enumerate(column):
+            for exp, value in ideal.normal_form(poly).terms():
+                if (s, exp) not in row_of:
+                    row_of[s, exp] = len(rows)
+                    rows.append([Fraction(0)] * len(columns))
+                rows[row_of[s, exp]][k] += value
+    return linalg.nullspace(rows, len(columns))
+
+
 def der_I_basis(ideal: Ideal, degree_bound: int) -> list[MultivectorField]:
     """Basis of the ideal-preserving fields with coefficient degree <= bound.
 
@@ -107,27 +125,15 @@ def der_I_basis(ideal: Ideal, degree_bound: int) -> list[MultivectorField]:
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     context = ideal.context
-    n = len(context)
     monos = monomials_up_to(context, degree_bound)
-    unknowns = n * len(monos)
-
-    rows: list[list[Fraction]] = []
-    row_of: dict[tuple[int, tuple[int, ...]], int] = {}
-    for j, g in enumerate(ideal.generators):
-        for i in range(n):
-            dg = g.partial(i)
-            for m, mono in enumerate(monos):
-                reduced = ideal.normal_form(
-                    Polynomial.monomial(context, mono, Fraction(1)) * dg
-                )
-                for exp, value in reduced.terms():
-                    key = (j, exp)
-                    if key not in row_of:
-                        row_of[key] = len(rows)
-                        rows.append([Fraction(0)] * unknowns)
-                    rows[row_of[key]][i * len(monos) + m] += value
-    kernel = linalg.nullspace(rows, unknowns)
-    return [_vector_to_field(context, monos, vec) for vec in kernel]
+    partials = [[g.partial(i) for g in ideal.generators] for i in range(len(context))]
+    # unknown i * len(monos) + m is the coefficient of monos[m] * d/dx_i
+    columns = [
+        [Polynomial.monomial(context, mono, Fraction(1)) * dg for dg in partials[i]]
+        for i in range(len(context))
+        for mono in monos
+    ]
+    return [_vector_to_field(context, monos, vec) for vec in _kernel(ideal, columns)]
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,7 @@ def is_regular_integral(
         return RegularityResult("regular", None, degree_bound)
 
     d = degree_bound
+    n = len(context)
     monos = monomials_up_to(context, d)
     gen_degrees = [_field_coefficient_degree(f) for f in distribution]
 
@@ -187,33 +194,13 @@ def is_regular_integral(
     d_basis, _ = linalg.rref(d_rows)
 
     # Within the span, select the subspace with every coefficient in the ideal.
-    constraints: list[list[Fraction]] = []
-    row_of: dict[tuple[int, tuple[int, ...]], int] = {}
-    for t, basis_vec in enumerate(d_basis):
-        field = _vector_to_field(context, monos, basis_vec)
-        for (i,), coeff in field.components():
-            reduced = ideal.normal_form(coeff)
-            for exp, value in reduced.terms():
-                key = (i, exp)
-                if key not in row_of:
-                    row_of[key] = len(constraints)
-                    constraints.append([Fraction(0)] * len(d_basis))
-                constraints[row_of[key]][t] += value
-    lam_basis = linalg.nullspace(constraints, len(d_basis))
-    zero_part: list[list[Fraction]] = []
-    for lam in lam_basis:
-        combo = [Fraction(0)] * len(monos) * len(context)
-        for t, weight in enumerate(lam):
-            if weight == 0:
-                continue
-            for k, value in enumerate(d_basis[t]):
-                combo[k] += weight * value
-        zero_part.append(combo)
+    fields = [_vector_to_field(context, monos, vec) for vec in d_basis]
+    columns = [[field.coefficient((i,)) for i in range(n)] for field in fields]
+    zero_part = linalg.matmul(_kernel(ideal, columns), d_basis)
 
     # Ideal multiples, generated with headroom then cut back to the slice.
     slack = max(d, 2)
     big_monos = monomials_up_to(context, d + slack)
-    big_index = {m: k for k, m in enumerate(big_monos)}
     id_rows: list[list[Fraction]] = []
     for gb_elem in ideal.groebner_basis():
         for field, gdeg in zip(distribution, gen_degrees):
@@ -224,44 +211,23 @@ def is_regular_integral(
                 scaled = field.scale(
                     Polynomial.monomial(context, mono, Fraction(1)) * gb_elem
                 )
-                vec = [Fraction(0)] * (len(context) * len(big_monos))
-                ok = True
-                for (i,), coeff in scaled.components():
-                    for exp, value in coeff.terms():
-                        if exp not in big_index:
-                            ok = False
-                            break
-                        vec[i * len(big_monos) + big_index[exp]] = value
-                    if not ok:
-                        break
-                if ok:
+                vec = _field_to_vector(scaled, big_monos)
+                if vec is not None:
                     id_rows.append(vec)
-    id_big_basis, _ = linalg.rref(id_rows)
-    # Intersect with the slice: kill every coordinate of degree above d.
-    high = [k for k, m in enumerate(big_monos) if sum(m) > d]
-    cut_rows: list[list[Fraction]] = []
-    for vec in id_big_basis:
-        cut_rows.append(
-            [
-                vec[i * len(big_monos) + k]
-                for i in range(len(context))
-                for k in high
-            ]
-        )
-    inter = linalg.nullspace(linalg.transpose(cut_rows) if cut_rows else [], len(id_big_basis))
-    low_positions = [
-        i * len(big_monos) + big_index[m] for i in range(len(context)) for m in monos
-    ]
-    id_slice: list[list[Fraction]] = []
-    for weights in inter:
-        combo = [Fraction(0)] * (len(context) * len(big_monos))
-        for t, weight in enumerate(weights):
-            if weight == 0:
-                continue
-            for k, value in enumerate(id_big_basis[t]):
-                combo[k] += weight * value
-        id_slice.append([combo[k] for k in low_positions])
-    id_basis, id_pivots = linalg.rref(id_slice)
+    # Intersect with the slice.  Both monomial lists ascend in grevlex, so
+    # monos is the degree <= d prefix of big_monos.  With the coordinates of
+    # degree > d ordered first, the RREF rows pivoting past them vanish there
+    # and span span ∩ {high = 0} (any other row's weight in such a vector is
+    # the vector's entry at that row's pivot, i.e. 0).  Cut back to the low
+    # coordinates they are in RREF, so they are the slice's unique RREF.
+    size, low = len(big_monos), len(monos)
+    high_cols = [i * size + k for i in range(n) for k in range(low, size)]
+    low_cols = [i * size + k for i in range(n) for k in range(low)]
+    order = high_cols + low_cols
+    cut = len(high_cols)
+    id_reduced, id_big_pivots = linalg.rref([[vec[c] for c in order] for vec in id_rows])
+    id_basis = [row[cut:] for row, p in zip(id_reduced, id_big_pivots) if p >= cut]
+    id_pivots = [p - cut for p in id_big_pivots if p >= cut]
 
     for vec in zero_part:
         if any(linalg.residue(vec, id_basis, id_pivots)):

@@ -287,6 +287,8 @@ class ChainElement:
 
     @classmethod
     def vector(cls, algebra: LieAlgebraFD, coords: Sequence[Fraction | int]) -> "ChainElement":
+        if len(coords) != algebra.dim:
+            raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
         return cls(
             algebra, 1, {(i,): Fraction(c) for i, c in enumerate(coords) if Fraction(c)}
         )
@@ -570,15 +572,18 @@ class CochainCE:
         """Multilinear alternating evaluation on arbitrary coordinate vectors."""
         if len(vectors) != self.grade:
             raise ValueError(f"expected {self.grade} arguments")
-        vecs = [[Fraction(c) for c in v] for v in vectors]
+        # the minors of the argument matrix are the components of the wedge
+        # of its rows
+        g = self.algebra
+        wedge = ChainElement.basis(g, ())
+        for v in vectors:
+            wedge = wedge.wedge(ChainElement.vector(g, v))
         out = [Fraction(0)] * self.module.dim
         for blade, value in self.components.items():
-            # minor determinant of the argument matrix on the blade's columns
-            minor = [[vecs[r][c] for c in blade] for r in range(self.grade)]
-            det = _determinant(minor)
-            if det:
+            minor = wedge.components.get(blade)
+            if minor:
                 for r, c in enumerate(value):
-                    out[r] += det * c
+                    out[r] += minor * c
         return out
 
     def __str__(self) -> str:
@@ -593,28 +598,6 @@ class CochainCE:
 
     def __repr__(self) -> str:
         return f"CochainCE({self})"
-
-
-def _determinant(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    work = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
 
 
 def ce_coboundary(w: CochainCE) -> CochainCE:

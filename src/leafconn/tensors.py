@@ -293,15 +293,19 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(context, form.grade + 1, components)
 
 
-def _contract_one(j: int, components: dict[IndexTuple, Polynomial]) -> dict[IndexTuple, Polynomial]:
-    """Single first-slot contraction i_{d/dx_j} on form components."""
+def _contract_slot(
+    coeffs: Mapping[int, Polynomial], components: Mapping[IndexTuple, Polynomial]
+) -> dict[IndexTuple, Polynomial]:
+    """First-slot contraction of sum_j coeffs[j] * (dx_j or d/dx_j): index j at
+    0-based position m of a blade gives (-1)^m coeffs[j] * coeff on the rest."""
     out: dict[IndexTuple, Polynomial] = {}
     for indices, coeff in components.items():
-        if j not in indices:
-            continue
-        pos = indices.index(j)
-        sign = -1 if pos % 2 else 1
-        _accumulate(out, indices[:pos] + indices[pos + 1 :], coeff * sign)
+        for pos, j in enumerate(indices):
+            a = coeffs.get(j)
+            if a is None:
+                continue
+            sign = -1 if pos % 2 else 1
+            _accumulate(out, indices[:pos] + indices[pos + 1 :], a * coeff * sign)
     return out
 
 
@@ -314,12 +318,13 @@ def _contract(field: MultivectorField, form: DifferentialForm) -> DifferentialFo
         return DifferentialForm.zero(context, 0)
     if field.grade == 0:
         return form.scale(field.scalar_part())
+    one = Polynomial.constant(context, 1)
     total: dict[IndexTuple, Polynomial] = {}
     for indices, coeff in field._components.items():
         work = form._components
         # Innermost factor first: i_{X_1 ^ ... ^ X_p} = i_{X_1} o ... o i_{X_p}.
         for j in reversed(indices):
-            work = _contract_one(j, work)
+            work = _contract_slot({j: one}, work)
         for rest, value in work.items():
             _accumulate(total, rest, coeff * value)
     return DifferentialForm(context, form.grade - field.grade, total)
@@ -353,15 +358,7 @@ def contract_covector(alpha: DifferentialForm, field: MultivectorField) -> Multi
     if field.grade == 0:
         raise GradeError("cannot contract a covector into a grade-0 field")
     coeffs = {i: c for (i,), c in alpha._components.items()}
-    out: dict[IndexTuple, Polynomial] = {}
-    for indices, coeff in field._components.items():
-        for pos, j in enumerate(indices):
-            a = coeffs.get(j)
-            if a is None:
-                continue
-            sign = -1 if pos % 2 else 1
-            _accumulate(out, indices[:pos] + indices[pos + 1 :], a * coeff * sign)
-    return MultivectorField(context, field.grade - 1, out)
+    return MultivectorField(context, field.grade - 1, _contract_slot(coeffs, field._components))
 
 
 def pairing(alpha: DifferentialForm, field: MultivectorField) -> Polynomial:
@@ -376,20 +373,6 @@ def pairing(alpha: DifferentialForm, field: MultivectorField) -> Polynomial:
         if a is not None:
             out = out + a * coeff
     return out
-
-
-def _scalar_bracket(big: MultivectorField, f: Polynomial) -> MultivectorField:
-    """[X_1 ^ ... ^ X_m, f] = sum_a (-1)^(a-1) X_a(f) X_1 ^ ...(drop a)...^ X_m."""
-    context = big.context
-    out: dict[IndexTuple, Polynomial] = {}
-    for indices, coeff in big._components.items():
-        for pos, j in enumerate(indices):
-            df = f.partial(j)
-            if df.is_zero:
-                continue
-            sign = -1 if pos % 2 else 1
-            _accumulate(out, indices[:pos] + indices[pos + 1 :], coeff * df * sign)
-    return MultivectorField(context, big.grade - 1, out)
 
 
 def schouten_bracket(u: MultivectorField, v: MultivectorField) -> MultivectorField:
@@ -407,11 +390,12 @@ def schouten_bracket(u: MultivectorField, v: MultivectorField) -> MultivectorFie
     p, q = u.grade, v.grade
     if p == 0 and q == 0:
         return MultivectorField.zero(context, 0)
+    # [U, f] = sum_a (-1)^(a-1) X_a(f) X_1 ^ ...(drop a)... ^ X_m is the
+    # first-slot contraction of df; graded symmetry gives [f, V] = [V, f].
     if q == 0:
-        return _scalar_bracket(u, v.scalar_part())
+        return contract_covector(differential(v.scalar_part()), u)
     if p == 0:
-        # Graded symmetry gives [f, V] = (-1)^(0*q) [V, f] = [V, f].
-        return _scalar_bracket(v, u.scalar_part())
+        return contract_covector(differential(u.scalar_part()), v)
 
     one = Polynomial.constant(context, 1)
     prefactor = 1 if (p + 1) % 2 == 0 else -1

@@ -10,6 +10,8 @@ from typing import Optional
 
 from leafconn import linalg
 from leafconn.charclass import LieIdeal, ProjectionOperator, abelianize, characteristic_class
+from leafconn.derivations import RegularityResult, monomials_up_to
+from leafconn.ideals import Ideal
 from leafconn.liealg import (
     ChainElement,
     CochainCE,
@@ -55,6 +57,23 @@ def rand_nonzero_poly(rng, context, degree=2, terms=3):
     if p.is_zero:
         p = p + Polynomial.variable(context, 0)
     return p
+
+
+def rand_binomial_ideal(rng, context, order):
+    """One to n generators, each a monomial of degree 1-2 or that monomial
+    minus a multiple of another of degree at most 2."""
+    n = len(context)
+    gens = []
+    for _ in range(rng.randint(1, n)):
+        lead = rand_exponent(rng, n, 2)
+        if not any(lead):
+            lead = (1,) + (0,) * (n - 1)
+        g = Polynomial.monomial(context, lead)
+        tail = rand_exponent(rng, n, 2)
+        if rng.random() < 0.5 and tail != lead:
+            g = g - Polynomial.monomial(context, tail, rng.choice([1, 2, Fraction(1, 2)]))
+        gens.append(g)
+    return Ideal(context, gens, order)
 
 
 def rand_blade(rng, n, grade):
@@ -314,3 +333,158 @@ def rand_sparse_matrix(rng, nrows, ncols, density):
     if rows and rng.random() < 0.3:
         rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
     return rows
+
+
+# The derivation-slice and cochain-evaluation code leafconn used before it
+# routed them through linalg and the wedge kernel: hand-built constraint rows,
+# row-combination loops, a transpose/nullspace slice intersection and a
+# determinant per cochain component.  Kept as differential oracles.
+
+
+def _ref_vector_to_field(context, monos, vec):
+    n = len(context)
+    coeffs = [Polynomial.zero(context) for _ in range(n)]
+    for k, value in enumerate(vec):
+        if value == 0:
+            continue
+        i, m = divmod(k, len(monos))
+        coeffs[i] = coeffs[i] + Polynomial.monomial(context, monos[m], value)
+    return MultivectorField(context, 1, {(i,): c for i, c in enumerate(coeffs) if not c.is_zero})
+
+
+def _ref_field_to_vector(field, monos):
+    index = {m: k for k, m in enumerate(monos)}
+    vec = [Fraction(0)] * (len(field.context) * len(monos))
+    for (i,), coeff in field.components():
+        for exp, value in coeff.terms():
+            if exp not in index:
+                return None
+            vec[i * len(monos) + index[exp]] = value
+    return vec
+
+
+def ref_der_I_basis(ideal, degree_bound):
+    context = ideal.context
+    n = len(context)
+    monos = monomials_up_to(context, degree_bound)
+    unknowns = n * len(monos)
+    rows = []
+    row_of = {}
+    for j, g in enumerate(ideal.generators):
+        for i in range(n):
+            dg = g.partial(i)
+            for m, mono in enumerate(monos):
+                reduced = ideal.normal_form(Polynomial.monomial(context, mono, Fraction(1)) * dg)
+                for exp, value in reduced.terms():
+                    key = (j, exp)
+                    if key not in row_of:
+                        row_of[key] = len(rows)
+                        rows.append([Fraction(0)] * unknowns)
+                    rows[row_of[key]][i * len(monos) + m] += value
+    kernel = linalg.nullspace(rows, unknowns)
+    return [_ref_vector_to_field(context, monos, vec) for vec in kernel]
+
+
+def ref_is_regular_integral(distribution, ideal, degree_bound):
+    """The regularity verdict on inputs already known to be valid."""
+    if ideal.is_zero_ideal:
+        return RegularityResult("regular", None, degree_bound)
+    context = ideal.context
+    d = degree_bound
+    monos = monomials_up_to(context, d)
+    gen_degrees = [max((c.total_degree() for _, c in f.components()), default=0) for f in distribution]
+
+    d_rows = []
+    for field, gdeg in zip(distribution, gen_degrees):
+        if field.is_zero:
+            continue
+        for mono in monomials_up_to(context, max(d - gdeg, 0)):
+            scaled = field.scale(Polynomial.monomial(context, mono, Fraction(1)))
+            vec = _ref_field_to_vector(scaled, monos)
+            if vec is not None:
+                d_rows.append(vec)
+    d_basis, _ = linalg.rref(d_rows)
+
+    constraints = []
+    row_of = {}
+    for t, basis_vec in enumerate(d_basis):
+        field = _ref_vector_to_field(context, monos, basis_vec)
+        for (i,), coeff in field.components():
+            for exp, value in ideal.normal_form(coeff).terms():
+                key = (i, exp)
+                if key not in row_of:
+                    row_of[key] = len(constraints)
+                    constraints.append([Fraction(0)] * len(d_basis))
+                constraints[row_of[key]][t] += value
+    zero_part = []
+    for lam in linalg.nullspace(constraints, len(d_basis)):
+        combo = [Fraction(0)] * len(monos) * len(context)
+        for t, weight in enumerate(lam):
+            for k, value in enumerate(d_basis[t]):
+                combo[k] += weight * value
+        zero_part.append(combo)
+
+    slack = max(d, 2)
+    big_monos = monomials_up_to(context, d + slack)
+    big_index = {m: k for k, m in enumerate(big_monos)}
+    id_rows = []
+    for gb_elem in ideal.groebner_basis():
+        for field, gdeg in zip(distribution, gen_degrees):
+            if field.is_zero:
+                continue
+            budget = d + slack - gb_elem.total_degree() - gdeg
+            for mono in monomials_up_to(context, max(budget, 0)):
+                scaled = field.scale(Polynomial.monomial(context, mono, Fraction(1)) * gb_elem)
+                vec = _ref_field_to_vector(scaled, big_monos)
+                if vec is not None:
+                    id_rows.append(vec)
+    id_big_basis, _ = linalg.rref(id_rows)
+    # kill every coordinate of degree above d
+    high = [k for k, m in enumerate(big_monos) if sum(m) > d]
+    cut_rows = [[vec[i * len(big_monos) + k] for i in range(len(context)) for k in high] for vec in id_big_basis]
+    inter = linalg.nullspace(linalg.transpose(cut_rows) if cut_rows else [], len(id_big_basis))
+    low_positions = [i * len(big_monos) + big_index[m] for i in range(len(context)) for m in monos]
+    id_slice = []
+    for weights in inter:
+        combo = [Fraction(0)] * (len(context) * len(big_monos))
+        for t, weight in enumerate(weights):
+            for k, value in enumerate(id_big_basis[t]):
+                combo[k] += weight * value
+        id_slice.append([combo[k] for k in low_positions])
+    id_basis, id_pivots = linalg.rref(id_slice)
+
+    for vec in zero_part:
+        if any(linalg.residue(vec, id_basis, id_pivots)):
+            return RegularityResult("not_regular", _ref_vector_to_field(context, monos, vec), d)
+    return RegularityResult("inconclusive", None, d)
+
+
+def _ref_determinant(matrix):
+    n = len(matrix)
+    work = [row[:] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = 1 / work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col]:
+                factor = work[r][col] * inv
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def ref_cochain_evaluate(w, vectors):
+    """sum over the cochain's blades of the argument matrix's minor times the value."""
+    vecs = [[Fraction(c) for c in v] for v in vectors]
+    out = [Fraction(0)] * w.module.dim
+    for blade, value in w.components.items():
+        det = _ref_determinant([[vecs[r][c] for c in blade] for r in range(w.grade)])
+        for r, c in enumerate(value):
+            out[r] += det * c
+    return out

@@ -112,6 +112,19 @@ def test_off_leaf_point_prints_rationals(tmp_path):
     assert "error = generator z - 1 does not vanish at (1/2, 0, 0)\n" in report.decode()
 
 
+def test_flat_sections_grade_zero_is_validation_error(tmp_path):
+    spec = tmp_path / "grade0.spec"
+    spec.write_text(
+        "[variables]\nx, y\n\n[bivector]\nx ^ y = x\n\n"
+        "[ideal origin]\nx\ny\n\n[query flat-sections]\nideal = origin\npoint = 0, 0\ngrade = 0\n"
+    )
+    code, report = run_to_file(spec, tmp_path)
+    assert code == 2
+    text = report.decode()
+    assert "status = error" in text
+    assert "error = transversal grade must be at least 1, got 0\n" in text
+
+
 def test_degree_bound_default_shows_in_report(tmp_path):
     spec = tmp_path / "deg.spec"
     spec.write_text(

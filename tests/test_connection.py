@@ -89,6 +89,17 @@ def test_flat_sections_at_origin():
     assert not is_flat_at_point(leaf)
 
 
+def test_flat_sections_reject_grade_zero():
+    leaf = origin_leaf("x")
+    for query in (
+        lambda: flat_sections_at_point(leaf, grade=0),
+        lambda: leaf.transversal_basis_at(None, 0),
+        lambda: leaf.reduce_mod_tangent(mv("x + y")),
+    ):
+        with pytest.raises(GradeError, match="transversal grade must be at least 1, got 0"):
+            query()
+
+
 def test_flatness_depends_on_vanishing_linear_part():
     assert not is_flat_at_point(origin_leaf("x"))
     assert is_flat_at_point(origin_leaf("x^2 + y^2"))

@@ -118,3 +118,30 @@ def test_regularity_precondition():
         is_regular_integral([mv("x * d/dy")], Ideal(CTX, [pp("y")]), 2)
     with pytest.raises(ValueError):
         is_regular_integral([mv("d/dy")], Ideal(CTX, [pp("x")]), -1)
+
+
+def test_matches_reference_on_random_ideals():
+    rng = random.Random(29)
+    statuses = set()
+    orders = set()
+    for _ in range(40):
+        ctx = rng.choice([support.XY, support.XYZ])
+        order = rng.choice(["grevlex", "lex"])
+        ideal = support.rand_binomial_ideal(rng, ctx, order)
+        degree = rng.randint(0, 3 if len(ctx) == 2 else 2)
+        basis = der_I_basis(ideal, degree)
+        reference = support.ref_der_I_basis(ideal, degree)
+        assert basis == reference
+        assert [str(f) for f in basis] == [str(f) for f in reference]
+        if not basis:
+            continue
+        distribution = rng.sample(basis, min(len(basis), rng.randint(1, 3)))
+        bound = rng.randint(0, 2)
+        verdict = is_regular_integral(distribution, ideal, bound)
+        expected = support.ref_is_regular_integral(distribution, ideal, bound)
+        assert verdict == expected
+        assert str(verdict) == str(expected)
+        statuses.add(verdict.status)
+        orders.add(order)
+    assert statuses == {"not_regular", "inconclusive"}
+    assert orders == {"grevlex", "lex"}

@@ -249,6 +249,53 @@ def test_cochain_evaluate_is_multilinear_alternating():
     assert w.evaluate([[3, 4, 0], [1, 2, 0]]) == [F(2)]
 
 
+def test_cochain_evaluate_matches_determinant_reference():
+    rng = random.Random(61)
+    for g in (sl2(), heisenberg3(), so3(), direct_sum(sl2(), heisenberg3())):
+        for S in (LieModuleFD.trivial(g, 2), support.adjoint(g)):
+            for grade in range(4):
+                for _ in range(5):
+                    w = CochainCE(
+                        g,
+                        S,
+                        grade,
+                        {
+                            b: [support.rand_fraction(rng) for _ in range(S.dim)]
+                            for b in g.blades(grade)
+                            if rng.random() < 0.5
+                        },
+                    )
+                    vectors = [
+                        [rng.choice([0, 0, rng.randint(-3, 3), support.rand_fraction(rng)]) for _ in range(g.dim)]
+                        for _ in range(grade)
+                    ]
+                    if grade > 1 and rng.random() < 0.2:
+                        vectors[-1] = list(vectors[0])
+                    assert w.evaluate(vectors) == support.ref_cochain_evaluate(w, vectors)
+
+
+def test_chain_vector_rejects_wrong_length():
+    h3 = heisenberg3()
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 1"):
+        ChainElement.vector(h3, [1])
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 4"):
+        ChainElement.vector(h3, [1, 0, 0, 0])
+
+
+def test_cochain_evaluate_rejects_short_vectors():
+    h3 = heisenberg3()
+    w = CochainCE(h3, LieModuleFD.trivial(h3), 2, {(0, 1): (F(1),)})
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        w.evaluate([[1, 2], [3, 4]])
+
+
+def test_cochain_evaluate_rejects_long_vectors():
+    h3 = heisenberg3()
+    w = CochainCE(h3, LieModuleFD.trivial(h3), 2, {(0, 1): (F(1),)})
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 4"):
+        w.evaluate([[1, 2, 0, 5], [3, 4, 0, 7]])
+
+
 def test_grade_zero_cochains():
     g = sl2()
     S = LieModuleFD.trivial(g)
