@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Literal, Optional, Sequence
 
 from . import linalg
@@ -24,22 +25,12 @@ from .tensors import GradeError, MultivectorField
 def monomials_up_to(context: VarContext, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree <= degree, ascending grevlex."""
     n = len(context)
-    out: list[tuple[int, ...]] = []
-
-    def build(prefix: list[int], remaining: int, pos: int) -> None:
-        if pos == n - 1:
-            for e in range(remaining + 1):
-                out.append(tuple(prefix + [e]))
-            return
-        for e in range(remaining + 1):
-            build(prefix + [e], remaining - e, pos + 1)
-
-    if n == 1:
-        out = [(e,) for e in range(degree + 1)]
-    else:
-        build([], degree, 0)
-    out.sort(key=grevlex_key)
-    return out
+    out = [
+        tuple(combo.count(i) for i in range(n))
+        for d in range(degree + 1)
+        for combo in combinations_with_replacement(range(n), d)
+    ]
+    return sorted(out, key=grevlex_key)
 
 
 def _field_coefficient_degree(field: MultivectorField) -> int:

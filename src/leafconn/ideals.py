@@ -2,20 +2,25 @@
 
 Buchberger's algorithm with the two classical shortcuts (skip pairs with
 coprime leading monomials; skip pairs covered by an already-treated third
-element).  The basis is fully inter-reduced and monic, so it is the unique
-reduced Gröbner basis for the ideal and the chosen monomial order, which
-makes ``normal_form`` canonical and ``contains`` decidable.
+element).  Leading monomials are computed once and kept beside the basis;
+pending pairs wait in one heap, treated in ascending ``(key(lcm), i, j)``
+order.  One pass in ascending lead order keeps a minimal basis, and each
+survivor is tail-reduced against the others.  The result is monic and
+inter-reduced, so it is the unique reduced Gröbner basis for the ideal and
+the chosen monomial order, which makes ``normal_form`` canonical and
+``contains`` decidable.
 
 An :class:`Ideal` is immutable; the basis is computed once on first use
 (thread-safe via a lock) and cached.
 """
 from __future__ import annotations
 
+import heapq
 import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import MONOMIAL_ORDERS, ContextMismatch, Polynomial, VarContext
+from .poly import MONOMIAL_ORDERS, ContextMismatch, Polynomial, VarContext, _accumulate
 
 Exponent = tuple[int, ...]
 
@@ -45,20 +50,21 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key) -> Poly
     order wins at each step.
     """
     leads = [g.leading_term(key) for g in basis]
-    remainder = Polynomial.zero(p.context)
-    work = p
-    while not work.is_zero:
-        exponent, coeff = work.leading_term(key)
+    work = dict(p._terms)
+    remainder: dict[Exponent, Fraction] = {}
+    while work:
+        exponent = max(work, key=key)
         for g, (g_exp, g_coeff) in zip(basis, leads):
             if _divides(g_exp, exponent):
-                factor = Polynomial.monomial(p.context, _exp_sub(exponent, g_exp), coeff / g_coeff)
-                work = work - factor * g
+                factor = -work[exponent] / g_coeff
+                shift = _exp_sub(exponent, g_exp)
+                # Adds factor * x^shift * g, whose lead cancels the term at exponent.
+                for e, c in g._terms.items():
+                    _accumulate(work, tuple(a + b for a, b in zip(e, shift)), factor * c)
                 break
         else:
-            term = Polynomial.monomial(p.context, exponent, coeff)
-            remainder = remainder + term
-            work = work - term
-    return remainder
+            remainder[exponent] = work.pop(exponent)
+    return Polynomial(p.context, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
@@ -73,58 +79,51 @@ def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
 def buchberger(generators: Sequence[Polynomial], key) -> list[Polynomial]:
     """The reduced Gröbner basis of the ideal spanned by ``generators``."""
     basis = [_monic(g, key) for g in generators if not g.is_zero]
-    if not basis:
-        return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    leads = [g.leading_term(key)[0] for g in basis]
+    pairs: list[tuple] = []  # heap of (key(lcm), i, j), i < j
     done: set[tuple[int, int]] = set()
 
-    def lead(i: int) -> Exponent:
-        return basis[i].leading_term(key)[0]
+    def add_pairs(new: int) -> None:
+        for k in range(new):
+            heapq.heappush(pairs, (key(_exp_lcm(leads[k], leads[new])), k, new))
 
+    for new in range(len(basis)):
+        add_pairs(new)
     while pairs:
-        i, j = min(pairs, key=lambda p: (key(_exp_lcm(lead(p[0]), lead(p[1]))), p))
-        pairs.discard((i, j))
+        _, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        lcm = _exp_lcm(lead(i), lead(j))
+        lcm = _exp_lcm(leads[i], leads[j])
         # Coprime leading monomials: the S-polynomial reduces to zero.
-        if lcm == tuple(a + b for a, b in zip(lead(i), lead(j))):
+        if lcm == tuple(a + b for a, b in zip(leads[i], leads[j])):
             continue
         # Chain criterion: a third element divides the lcm and both side
         # pairs are already treated.
         if any(
             k not in (i, j)
-            and _divides(lead(k), lcm)
+            and _divides(lead, lcm)
             and tuple(sorted((i, k))) in done
             and tuple(sorted((j, k))) in done
-            for k in range(len(basis))
+            for k, lead in enumerate(leads)
         ):
             continue
         remainder = normal_form_against(s_polynomial(basis[i], basis[j], key), basis, key)
         if not remainder.is_zero:
             basis.append(_monic(remainder, key))
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            leads.append(basis[-1].leading_term(key)[0])
+            add_pairs(len(basis) - 1)
     return _reduce_basis(basis, key)
 
 
 def _reduce_basis(basis: list[Polynomial], key) -> list[Polynomial]:
-    # Drop elements whose lead is divisible by another element's lead,
-    # then tail-reduce each survivor against the others.
-    keep: list[Polynomial] = []
-    for i, g in enumerate(basis):
-        g_lead = g.leading_term(key)[0]
-        others = basis[:i] + basis[i + 1 :]
-        if any(_divides(h.leading_term(key)[0], g_lead) and h.leading_term(key)[0] != g_lead for h in others):
-            continue
-        if any(h.leading_term(key)[0] == g_lead for h in keep):
-            continue
-        keep.append(g)
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        reduced.append(_monic(normal_form_against(g, others, key), key) if others else g)
-    reduced.sort(key=lambda g: key(g.leading_term(key)[0]))
-    return reduced
+    # Monomial orders refine divisibility, so a lead's divisors come before it
+    # in ascending order.  Tail reduction keeps each monic lead, and so the order.
+    leads = [g.leading_term(key)[0] for g in basis]
+    keep: list[int] = []
+    for i in sorted(range(len(basis)), key=lambda i: key(leads[i])):
+        if not any(_divides(leads[k], leads[i]) for k in keep):
+            keep.append(i)
+    kept = [basis[i] for i in keep]
+    return [normal_form_against(g, kept[:i] + kept[i + 1 :], key) for i, g in enumerate(kept)]
 
 
 class Ideal:

@@ -85,6 +85,15 @@ def lex_key(exponent: Exponent):
 MONOMIAL_ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
 
 
+def _accumulate(terms: dict[Exponent, Fraction], exponent: Exponent, coeff: Fraction) -> None:
+    """Add ``coeff`` to one term of a term map, dropping the term if it cancels."""
+    new = terms.get(exponent, 0) + coeff
+    if new:
+        terms[exponent] = new
+    else:
+        terms.pop(exponent, None)
+
+
 def _check_same_context(a: "Polynomial", b: "Polynomial") -> None:
     if a.context != b.context:
         raise ContextMismatch(f"contexts differ: {a.context!r} vs {b.context!r}")
@@ -168,11 +177,7 @@ class Polynomial:
         _check_same_context(self, other)
         terms = dict(self._terms)
         for exponent, coeff in other._terms.items():
-            new = terms.get(exponent, Fraction(0)) + coeff
-            if new:
-                terms[exponent] = new
-            else:
-                terms.pop(exponent, None)
+            _accumulate(terms, exponent, coeff)
         return Polynomial(self.context, terms)
 
     __radd__ = __add__
@@ -196,12 +201,7 @@ class Polynomial:
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exponent = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exponent, Fraction(0)) + c1 * c2
-                if new:
-                    terms[exponent] = new
-                else:
-                    del terms[exponent]
+                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Polynomial(self.context, terms)
 
     __rmul__ = __mul__

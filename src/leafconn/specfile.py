@@ -127,7 +127,7 @@ def _parse_matrix(value: str, line: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def parse_combo(text: str, labels: tuple[str, ...], line: int) -> dict[str, Fraction]:
-    """A rational linear combination of labels, e.g. ``2*e - h/2`` or ``0``."""
+    """A rational linear combination of labels, e.g. ``2*e - 1/2*h`` or ``0``."""
     try:
         tokens = tokenize(text)
     except ParseError as exc:

@@ -11,7 +11,7 @@ from typing import Optional
 from leafconn import linalg
 from leafconn.charclass import LieIdeal, ProjectionOperator, abelianize, characteristic_class
 from leafconn.derivations import RegularityResult, monomials_up_to
-from leafconn.ideals import Ideal
+from leafconn.ideals import Ideal, _divides, _exp_lcm, _exp_sub, _monic, s_polynomial
 from leafconn.liealg import (
     ChainElement,
     CochainCE,
@@ -488,3 +488,79 @@ def ref_cochain_evaluate(w, vectors):
         for r, c in enumerate(value):
             out[r] += det * c
     return out
+
+
+# -- reference Buchberger ------------------------------------------------------------
+# The Gröbner core leafconn used before it kept leading monomials beside the
+# basis: leads recomputed for every pair key, a min scan over the pair set,
+# a two-scan minimal-basis step and division through Polynomial arithmetic.
+# Kept as differential oracles.
+
+
+def ref_normal_form_against(p: Polynomial, basis, key) -> Polynomial:
+    leads = [g.leading_term(key) for g in basis]
+    remainder = Polynomial.zero(p.context)
+    work = p
+    while not work.is_zero:
+        exponent, coeff = work.leading_term(key)
+        for g, (g_exp, g_coeff) in zip(basis, leads):
+            if _divides(g_exp, exponent):
+                factor = Polynomial.monomial(p.context, _exp_sub(exponent, g_exp), coeff / g_coeff)
+                work = work - factor * g
+                break
+        else:
+            term = Polynomial.monomial(p.context, exponent, coeff)
+            remainder = remainder + term
+            work = work - term
+    return remainder
+
+
+def ref_buchberger(generators, key) -> list:
+    basis = [_monic(g, key) for g in generators if not g.is_zero]
+    if not basis:
+        return []
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    done: set = set()
+
+    def lead(i: int):
+        return basis[i].leading_term(key)[0]
+
+    while pairs:
+        i, j = min(pairs, key=lambda p: (key(_exp_lcm(lead(p[0]), lead(p[1]))), p))
+        pairs.discard((i, j))
+        done.add((i, j))
+        lcm = _exp_lcm(lead(i), lead(j))
+        if lcm == tuple(a + b for a, b in zip(lead(i), lead(j))):
+            continue
+        if any(
+            k not in (i, j)
+            and _divides(lead(k), lcm)
+            and tuple(sorted((i, k))) in done
+            and tuple(sorted((j, k))) in done
+            for k in range(len(basis))
+        ):
+            continue
+        remainder = ref_normal_form_against(s_polynomial(basis[i], basis[j], key), basis, key)
+        if not remainder.is_zero:
+            basis.append(_monic(remainder, key))
+            new = len(basis) - 1
+            pairs.update((k, new) for k in range(new))
+    return ref_reduce_basis(basis, key)
+
+
+def ref_reduce_basis(basis, key) -> list:
+    keep: list = []
+    for i, g in enumerate(basis):
+        g_lead = g.leading_term(key)[0]
+        others = basis[:i] + basis[i + 1 :]
+        if any(_divides(h.leading_term(key)[0], g_lead) and h.leading_term(key)[0] != g_lead for h in others):
+            continue
+        if any(h.leading_term(key)[0] == g_lead for h in keep):
+            continue
+        keep.append(g)
+    reduced = []
+    for i, g in enumerate(keep):
+        others = keep[:i] + keep[i + 1 :]
+        reduced.append(_monic(ref_normal_form_against(g, others, key), key) if others else g)
+    reduced.sort(key=lambda g: key(g.leading_term(key)[0]))
+    return reduced

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,7 +14,7 @@ from leafconn.derivations import (
 from leafconn.ideals import Ideal, vanishing_ideal_of_point
 from leafconn.linalg import in_span
 from leafconn.parse import parse_multivector, parse_polynomial
-from leafconn.poly import Polynomial, VarContext
+from leafconn.poly import Polynomial, VarContext, grevlex_key
 
 import support
 
@@ -34,6 +35,11 @@ def test_monomials_up_to():
     for n, d in [(2, 3), (3, 2)]:
         ctx = VarContext([f"t{i}" for i in range(n)])
         assert len(monomials_up_to(ctx, d)) == math.comb(n + d, d)
+    for n in range(1, 5):
+        ctx = VarContext([f"t{i}" for i in range(n)])
+        for d in range(-1, 5):
+            brute = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d]
+            assert monomials_up_to(ctx, d) == sorted(brute, key=grevlex_key)
 
 
 def test_preserves_and_maps_into():

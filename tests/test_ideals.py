@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from leafconn.ideals import Ideal, normal_form_against, vanishing_ideal_of_point
 from leafconn.parse import parse_polynomial
-from leafconn.poly import Polynomial, VarContext, grevlex_key
+from leafconn.poly import MONOMIAL_ORDERS, Polynomial, VarContext, grevlex_key
 
 import support
 
@@ -102,3 +103,61 @@ def test_normal_form_against_no_reduction_needed():
     basis = [pp("x^2")]
     p = pp("x + y")
     assert normal_form_against(p, basis, grevlex_key) == p
+
+
+def rand_ideal_case(rng):
+    """A context of 1-3 variables and at most one random generator per variable.
+
+    More generators than variables mostly span the unit ideal.
+    """
+    ctx = VarContext([f"x{i}" for i in range(rng.randint(1, 3))])
+    count = rng.randint(1, len(ctx))
+    gens = [support.rand_nonzero_poly(rng, ctx, degree=2, terms=rng.randint(1, 3)) for _ in range(count)]
+    return ctx, gens
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_matches_reference_on_random_ideals(order):
+    rng = random.Random(41)
+    key = MONOMIAL_ORDERS[order]
+    for _ in range(60):
+        ctx, gens = rand_ideal_case(rng)
+        ideal = Ideal(ctx, gens, order)
+        reference = support.ref_buchberger(list(gens), key)
+        assert [str(g) for g in ideal.groebner_basis()] == [str(g) for g in reference]
+        for _ in range(3):
+            p = support.rand_poly(rng, ctx, degree=4, terms=4)
+            assert str(ideal.normal_form(p)) == str(support.ref_normal_form_against(p, reference, key))
+            # Divisor lists that are not Gröbner bases: the first divisor wins.
+            divisors = [support.rand_nonzero_poly(rng, ctx, degree=2, terms=2) for _ in range(rng.randint(1, 3))]
+            expected = support.ref_normal_form_against(p, divisors, key)
+            assert str(normal_form_against(p, divisors, key)) == str(expected)
+
+
+def _term_map(items) -> frozenset:
+    """Exponent/coefficient pairs of leafconn or sympy terms, as one comparable set."""
+    return frozenset((tuple(e), Fraction(str(c))) for e, c in items)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_matches_sympy_on_random_ideals(order):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    for _ in range(25):
+        ctx, gens = rand_ideal_case(rng)
+        symbols = sympy.symbols(ctx.names)
+
+        def to_sympy(p):
+            terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms()}
+            return sympy.Poly.from_dict(terms, *symbols, domain="QQ").as_expr()
+
+        ideal = Ideal(ctx, gens, order)
+        expected = sympy.groebner([to_sympy(g) for g in gens], *symbols, order=order, domain="QQ")
+        assert {_term_map(g.terms()) for g in ideal.groebner_basis()} == {
+            _term_map(g.as_dict().items()) for g in expected.polys
+        }
+        for _ in range(3):
+            p = support.rand_poly(rng, ctx, degree=4, terms=4)
+            _, remainder = sympy.reduced(to_sympy(p), expected.exprs, *symbols, order=order, domain="QQ")
+            expected_nf = sympy.Poly(remainder, *symbols, domain="QQ").as_dict()
+            assert _term_map(ideal.normal_form(p).terms()) == _term_map(expected_nf.items())

@@ -112,6 +112,15 @@ def test_total_degree_and_constant_term():
     assert not p.is_constant()
 
 
+@pytest.mark.parametrize(
+    "exponent",
+    [(1,), (1, 0, 0), (-1, 0), (0, -2), (1.5, 0), (0, Fraction(1, 2)), (1.0, 0)],
+)
+def test_constructor_rejects_bad_exponents(exponent):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        Polynomial(CTX, {exponent: 1})
+
+
 def test_coefficient_lookup():
     p = 2 * X * Y - Y
     assert p.coefficient((1, 1)) == 2

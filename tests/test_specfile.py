@@ -112,6 +112,12 @@ def test_lie_algebra_grammar():
     assert zero.lie_algebras["g"].relations == {("e", "f"): {}}
 
 
+def test_combination_coefficients_come_before_labels():
+    fails_with("[lie_algebra g]\nbasis = e, h\n[e, h] = 2*e - h/2\n", "unexpected '/'", line=3)
+    doc = parse_spec_text("[lie_algebra g]\nbasis = e, h\n[e, h] = 2*e - 1/2*h\n")
+    assert doc.lie_algebras["g"].relations == {("e", "h"): {"e": F(2), "h": F(-1, 2)}}
+
+
 def test_query_validation():
     fails_with("[query bogus]\n", "unknown query kind", line=1)
     fails_with("[query flat-sections]\n", "missing ideal")
