@@ -10,6 +10,13 @@ inter-reduced, so it is the unique reduced Gröbner basis for the ideal and
 the chosen monomial order, which makes ``normal_form`` canonical and
 ``contains`` decidable.
 
+Inputs and outputs are exact ``Fraction`` polynomials, but division and
+S-polynomials run fraction-free on the primitive integer forms that each
+:class:`~leafconn.poly.Polynomial` caches: integer pseudo-division with the
+content cancelled and one rational scale tracked beside the work.  The
+integer work is always a nonzero multiple of the exact work, so every step,
+and the remainder, is the one exact division gives.
+
 An :class:`Ideal` is immutable; the basis is computed once on first use
 (thread-safe via a lock) and cached.
 """
@@ -18,23 +25,25 @@ from __future__ import annotations
 import heapq
 import threading
 from fractions import Fraction
+from math import gcd
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .poly import MONOMIAL_ORDERS, ContextMismatch, Polynomial, VarContext, _accumulate
+from .poly import MONOMIAL_ORDERS, ContextMismatch, Polynomial, VarContext, _accumulate, _from_clean
 
 Exponent = tuple[int, ...]
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _monic(p: Polynomial, key) -> Polynomial:
@@ -48,32 +57,79 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key) -> Poly
     Every remainder term is reduced, so the result has no term divisible by
     any basis leading monomial.  Deterministic: the first divisor in basis
     order wins at each step.
+
+    The division runs on primitive integer forms: the exact work is always
+    ``scale * work``.  Each step multiplies the work by ``lc_g / d`` and
+    subtracts ``(c / d) * x^shift * g_int`` (``d = gcd(c, lc_g)``), which is
+    the exact step up to that nonzero factor, so every step selects the
+    same term and divisor as exact division would.  When the scale changed,
+    the content of the work moves into the scale.  A term that no lead
+    divides leaves the work exactly, as ``c * scale``.
     """
-    leads = [g.leading_term(key) for g in basis]
-    work = dict(p._terms)
+    divisors = []
+    for g in basis:
+        g_exp, _ = g.leading_term(key)
+        g_ints, _ = g._primitive()
+        divisors.append((g_exp, g_ints[g_exp], g_ints))
+    ints, scale = p._primitive()
+    work = dict(ints)
+    # Each exponent's order key is computed once, when it enters the work.
+    keys = {e: key(e) for e in work}
     remainder: dict[Exponent, Fraction] = {}
     while work:
-        exponent = max(work, key=key)
-        for g, (g_exp, g_coeff) in zip(basis, leads):
-            if _divides(g_exp, exponent):
-                factor = -work[exponent] / g_coeff
+        exponent = max(work, key=keys.__getitem__)
+        c = work[exponent]
+        for g_exp, lc, g_ints in divisors:
+            if all(map(le, g_exp, exponent)):  # _divides, inlined in the hot loop
+                d = gcd(c, lc) if lc > 0 else -gcd(c, lc)
+                m, q = lc // d, c // d
+                if m != 1:
+                    work = {e: v * m for e, v in work.items()}
+                    scale /= m
                 shift = _exp_sub(exponent, g_exp)
-                # Adds factor * x^shift * g, whose lead cancels the term at exponent.
-                for e, c in g._terms.items():
-                    _accumulate(work, tuple(a + b for a, b in zip(e, shift)), factor * c)
+                # m * c == q * lc, so the term at exponent cancels here.
+                for e, v in g_ints.items():
+                    e = tuple(map(add, e, shift))
+                    v = work.get(e, 0) - q * v
+                    if v:
+                        work[e] = v
+                        if e not in keys:
+                            keys[e] = key(e)
+                    else:
+                        del work[e]
+                if m != 1:
+                    content = gcd(*work.values())
+                    if content > 1:
+                        work = {e: v // content for e, v in work.items()}
+                        scale *= content
                 break
         else:
-            remainder[exponent] = work.pop(exponent)
-    return Polynomial(p.context, remainder)
+            remainder[exponent] = work.pop(exponent) * scale
+    return _from_clean(p.context, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    f_exp, f_coeff = f.leading_term(key)
-    g_exp, g_coeff = g.leading_term(key)
+    """``x^a f / lc(f) - x^b g / lc(g)`` with ``x^a lm(f) = x^b lm(g)`` the lcm,
+    built on the integer forms as ``(lc_g x^a f_int - lc_f x^b g_int) / (lc_f lc_g)``."""
+    f_exp, _ = f.leading_term(key)
+    g_exp, _ = g.leading_term(key)
+    f_ints, _ = f._primitive()
+    g_ints, _ = g._primitive()
+    lc_f, lc_g = f_ints[f_exp], g_ints[g_exp]
     lcm = _exp_lcm(f_exp, g_exp)
-    f_factor = Polynomial.monomial(f.context, _exp_sub(lcm, f_exp), Fraction(1) / f_coeff)
-    g_factor = Polynomial.monomial(g.context, _exp_sub(lcm, g_exp), Fraction(1) / g_coeff)
-    return f_factor * f - g_factor * g
+    a, b = _exp_sub(lcm, f_exp), _exp_sub(lcm, g_exp)
+    ints = {tuple(map(add, e, a)): lc_g * c for e, c in f_ints.items()}
+    for e, c in g_ints.items():
+        _accumulate(ints, tuple(map(add, e, b)), -lc_f * c)  # drops the cancelled lcm term
+    if not ints:
+        return Polynomial.zero(f.context)
+    # The content takes the sign of lc_f * lc_g, so the scale is positive
+    # as in Polynomial._primitive.
+    content = gcd(*ints.values()) if lc_f * lc_g > 0 else -gcd(*ints.values())
+    if content != 1:
+        ints = {e: c // content for e, c in ints.items()}
+    scale = Fraction(content, lc_f * lc_g)
+    return _from_clean(f.context, {e: c * scale for e, c in ints.items()}, (ints, scale))
 
 
 def buchberger(generators: Sequence[Polynomial], key) -> list[Polynomial]:
@@ -175,7 +231,7 @@ def vanishing_ideal_of_point(context: VarContext, point: Sequence, order: str = 
     if len(point) != len(context):
         raise ValueError("point dimension does not match the context")
     generators = [
-        Polynomial.variable(context, name) - Polynomial.constant(context, Fraction(value))
+        Polynomial.variable(context, name) - Polynomial.constant(context, value)
         for name, value in zip(context.names, point)
     ]
     return Ideal(context, generators, order)

@@ -7,10 +7,19 @@ equal exactly when their term maps are equal.
 
 Monomial orders are plain key functions on exponent tuples; ``grevlex`` is
 the default everywhere and is also the order used for canonical printing.
+
+Coefficients are ``int`` or ``Fraction`` only; anything else (floats,
+strings) is a ``TypeError``.  The public constructor validates every input;
+arithmetic results, whose term maps are clean by construction, go through
+the module-private ``_from_clean``.  Each polynomial memoizes its leading
+term per order and its primitive integer form (see ``_primitive``), which
+the Gröbner code in :mod:`leafconn.ideals` divides with.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import neg
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Coeff = Union[Fraction, int]
@@ -74,7 +83,7 @@ def grevlex_key(exponent: Exponent):
     Higher total degree wins; ties go to the monomial whose *last*
     differing exponent is smaller.
     """
-    return (sum(exponent), tuple(-e for e in reversed(exponent)))
+    return (sum(exponent), tuple(map(neg, reversed(exponent))))
 
 
 def lex_key(exponent: Exponent):
@@ -94,15 +103,37 @@ def _accumulate(terms: dict[Exponent, Fraction], exponent: Exponent, coeff: Frac
         terms.pop(exponent, None)
 
 
+def _check_coeff(value) -> None:
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__} {value!r}")
+
+
+def _from_clean(context: VarContext, terms: dict[Exponent, Fraction], primitive=None) -> "Polynomial":
+    """A polynomial owning ``terms``, which must already map valid exponent
+    tuples to nonzero ``Fraction``s; nothing is checked or copied.  A caller
+    that knows the primitive integer form passes it to seed the memo."""
+    p = object.__new__(Polynomial)
+    p.context = context
+    p._terms = terms
+    p._memo = None if primitive is None else {None: primitive}
+    return p
+
+
 def _check_same_context(a: "Polynomial", b: "Polynomial") -> None:
     if a.context != b.context:
         raise ContextMismatch(f"contexts differ: {a.context!r} vs {b.context!r}")
 
 
 class Polynomial:
-    """An immutable sparse polynomial attached to a :class:`VarContext`."""
+    """An immutable sparse polynomial attached to a :class:`VarContext`.
 
-    __slots__ = ("context", "_terms")
+    ``_memo`` caches values derived from the terms (leading terms, the
+    primitive integer form).  A polynomial never changes, so a cached value
+    is always the one a recomputation would give; the memo takes no part in
+    ``==`` or ``hash``.
+    """
+
+    __slots__ = ("context", "_terms", "_memo")
 
     def __init__(self, context: VarContext, terms: Mapping[Exponent, Coeff] = ()):
         self.context = context
@@ -112,10 +143,12 @@ class Polynomial:
             exponent = tuple(exponent)
             if len(exponent) != n or any(e < 0 or not isinstance(e, int) for e in exponent):
                 raise ValueError(f"bad exponent vector {exponent!r} for {context!r}")
+            _check_coeff(coeff)
             coeff = Fraction(coeff)
             if coeff:
                 clean[exponent] = coeff
         self._terms = clean
+        self._memo = None
 
     # -- constructors ------------------------------------------------------
 
@@ -125,7 +158,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, context: VarContext, value: Coeff) -> "Polynomial":
-        return cls(context, {(0,) * len(context): Fraction(value)})
+        return cls(context, {(0,) * len(context): value})
 
     @classmethod
     def variable(cls, context: VarContext, name: "str | int") -> "Polynomial":
@@ -137,7 +170,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, context: VarContext, exponent: Exponent, coeff: Coeff = 1) -> "Polynomial":
-        return cls(context, {tuple(exponent): Fraction(coeff)})
+        return cls(context, {tuple(exponent): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -151,7 +184,10 @@ class Polynomial:
             yield exponent, self._terms[exponent]
 
     def coefficient(self, exponent: Exponent) -> Fraction:
-        return self._terms.get(tuple(exponent), Fraction(0))
+        exponent = tuple(exponent)
+        if len(exponent) != len(self.context):
+            raise ValueError(f"bad exponent vector {exponent!r} for {self.context!r}")
+        return self._terms.get(exponent, Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * len(self.context), Fraction(0))
@@ -167,8 +203,31 @@ class Polynomial:
         """Largest term under ``key``; raises on the zero polynomial."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
-        exponent = max(self._terms, key=key)
-        return exponent, self._terms[exponent]
+        memo = self._memo_dict()
+        term = memo.get(key)
+        if term is None:
+            exponent = max(self._terms, key=key)
+            term = memo[key] = (exponent, self._terms[exponent])
+        return term
+
+    def _primitive(self) -> tuple[dict[Exponent, int], Fraction]:
+        """``(ints, scale)`` with ``self == scale * ints``: integer terms
+        whose gcd is 1 (empty, with scale 1, for the zero polynomial)."""
+        memo = self._memo_dict()
+        form = memo.get(None)
+        if form is None:
+            den = lcm(*(c.denominator for c in self._terms.values()))
+            ints = {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}
+            content = gcd(*ints.values()) or 1
+            if content != 1:
+                ints = {e: c // content for e, c in ints.items()}
+            form = memo[None] = (ints, Fraction(content, den))
+        return form
+
+    def _memo_dict(self) -> dict:
+        if self._memo is None:
+            self._memo = {}
+        return self._memo
 
     # -- arithmetic --------------------------------------------------------
 
@@ -178,12 +237,12 @@ class Polynomial:
         terms = dict(self._terms)
         for exponent, coeff in other._terms.items():
             _accumulate(terms, exponent, coeff)
-        return Polynomial(self.context, terms)
+        return _from_clean(self.context, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.context, {e: -c for e, c in self._terms.items()})
+        return _from_clean(self.context, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | Coeff") -> "Polynomial":
         return self + (-self._coerce(other))
@@ -196,13 +255,14 @@ class Polynomial:
             other = Fraction(other)
             if not other:
                 return Polynomial.zero(self.context)
-            return Polynomial(self.context, {e: c * other for e, c in self._terms.items()})
+            return _from_clean(self.context, {e: c * other for e, c in self._terms.items()})
+        other = self._coerce(other)
         _check_same_context(self, other)
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Polynomial(self.context, terms)
+        return _from_clean(self.context, terms)
 
     __rmul__ = __mul__
 
@@ -247,11 +307,13 @@ class Polynomial:
             lowered = list(exponent)
             lowered[i] -= 1
             terms[tuple(lowered)] = coeff * exponent[i]
-        return Polynomial(self.context, terms)
+        return _from_clean(self.context, terms)
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
         if len(point) != len(self.context):
             raise ValueError(f"point has {len(point)} coordinates, context expects {len(self.context)}")
+        for v in point:
+            _check_coeff(v)
         values = [Fraction(v) for v in point]
         total = Fraction(0)
         for exponent, coeff in self._terms.items():

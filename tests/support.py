@@ -11,7 +11,7 @@ from typing import Optional
 from leafconn import linalg
 from leafconn.charclass import LieIdeal, ProjectionOperator, abelianize, characteristic_class
 from leafconn.derivations import RegularityResult, monomials_up_to
-from leafconn.ideals import Ideal, _divides, _exp_lcm, _exp_sub, _monic, s_polynomial
+from leafconn.ideals import Ideal
 from leafconn.liealg import (
     ChainElement,
     CochainCE,
@@ -494,7 +494,35 @@ def ref_cochain_evaluate(w, vectors):
 # The Gröbner core leafconn used before it kept leading monomials beside the
 # basis: leads recomputed for every pair key, a min scan over the pair set,
 # a two-scan minimal-basis step and division through Polynomial arithmetic.
-# Kept as differential oracles.
+# The exponent helpers, ``ref_monic`` and ``ref_s_polynomial`` are the exact
+# ``Fraction`` versions that preceded the integer division kernel, so the
+# oracles share none of it.  Kept as differential oracles.
+
+
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _exp_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _exp_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def ref_monic(p: Polynomial, key) -> Polynomial:
+    _, coeff = p.leading_term(key)
+    return p * (Fraction(1) / coeff)
+
+
+def ref_s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
+    f_exp, f_coeff = f.leading_term(key)
+    g_exp, g_coeff = g.leading_term(key)
+    lcm = _exp_lcm(f_exp, g_exp)
+    f_factor = Polynomial.monomial(f.context, _exp_sub(lcm, f_exp), Fraction(1) / f_coeff)
+    g_factor = Polynomial.monomial(g.context, _exp_sub(lcm, g_exp), Fraction(1) / g_coeff)
+    return f_factor * f - g_factor * g
 
 
 def ref_normal_form_against(p: Polynomial, basis, key) -> Polynomial:
@@ -516,7 +544,7 @@ def ref_normal_form_against(p: Polynomial, basis, key) -> Polynomial:
 
 
 def ref_buchberger(generators, key) -> list:
-    basis = [_monic(g, key) for g in generators if not g.is_zero]
+    basis = [ref_monic(g, key) for g in generators if not g.is_zero]
     if not basis:
         return []
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
@@ -540,9 +568,9 @@ def ref_buchberger(generators, key) -> list:
             for k in range(len(basis))
         ):
             continue
-        remainder = ref_normal_form_against(s_polynomial(basis[i], basis[j], key), basis, key)
+        remainder = ref_normal_form_against(ref_s_polynomial(basis[i], basis[j], key), basis, key)
         if not remainder.is_zero:
-            basis.append(_monic(remainder, key))
+            basis.append(ref_monic(remainder, key))
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
     return ref_reduce_basis(basis, key)
@@ -561,6 +589,6 @@ def ref_reduce_basis(basis, key) -> list:
     reduced = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        reduced.append(_monic(ref_normal_form_against(g, others, key), key) if others else g)
+        reduced.append(ref_monic(ref_normal_form_against(g, others, key), key) if others else g)
     reduced.sort(key=lambda g: key(g.leading_term(key)[0]))
     return reduced

@@ -1,9 +1,12 @@
+import inspect
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from leafconn.ideals import Ideal, normal_form_against, vanishing_ideal_of_point
+from leafconn.ideals import Ideal, normal_form_against, s_polynomial, vanishing_ideal_of_point
 from leafconn.parse import parse_polynomial
 from leafconn.poly import MONOMIAL_ORDERS, Polynomial, VarContext, grevlex_key
 
@@ -66,6 +69,12 @@ def test_vanishing_ideal_evaluates():
     assert gb_strs(ideal) == ["y - 2", "x - 1"]
     assert ideal.normal_form(pp("x^2*y")) == Polynomial.constant(CTX, 2)
     assert ideal.contains(pp("(x - 1)*(y + 5)"))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3", Decimal("0.1")])
+def test_vanishing_ideal_rejects_inexact_coordinates(bad):
+    with pytest.raises(TypeError):
+        vanishing_ideal_of_point(CTX, (1, bad))
 
 
 def test_contains():
@@ -161,3 +170,75 @@ def test_matches_sympy_on_random_ideals(order):
             _, remainder = sympy.reduced(to_sympy(p), expected.exprs, *symbols, order=order, domain="QQ")
             expected_nf = sympy.Poly(remainder, *symbols, domain="QQ").as_dict()
             assert _term_map(ideal.normal_form(p).terms()) == _term_map(expected_nf.items())
+
+
+def _big_fraction(rng):
+    """A nonzero rational whose numerator and denominator have up to 64 bits."""
+    bits = rng.choice([2, 8, 64])
+    numerator = rng.choice([-1, 1]) * rng.randint(1, 2**bits)
+    return Fraction(numerator, rng.randint(1, 2 ** rng.choice([1, 8, 64])))
+
+
+def _big_poly(rng, ctx, degree, terms):
+    acc = {}
+    for _ in range(terms):
+        e = support.rand_exponent(rng, len(ctx), degree)
+        acc[e] = acc.get(e, 0) + _big_fraction(rng)
+    p = Polynomial(ctx, acc)
+    return p if p else Polynomial.variable(ctx, 0)
+
+
+def _lines_run(function, body):
+    """Run ``body()`` and return the source lines of ``function`` it executed."""
+    code = function.__code__
+    source, first = inspect.getsourcelines(function)
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(source[frame.f_lineno - first].strip())
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        body()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_integer_division_matches_exact_reference(order):
+    """Division and S-polynomials on integer forms equal the exact Fraction
+    versions, on non-monic, negative-lead, 64-bit divisor lists that are
+    mostly not Gröbner bases."""
+    rng = random.Random(53)
+    key = MONOMIAL_ORDERS[order]
+    leads = []
+
+    def run():
+        for _ in range(150):
+            ctx = VarContext([f"x{i}" for i in range(rng.randint(1, 4))])
+            divisors = [_big_poly(rng, ctx, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            leads.extend(g.leading_term(key)[1] for g in divisors)
+            for _ in range(2):
+                p = _big_poly(rng, ctx, 4, rng.randint(1, 5))
+                expected = support.ref_normal_form_against(p, divisors, key)
+                assert str(normal_form_against(p, divisors, key)) == str(expected)
+            f, g = rng.choice(divisors), rng.choice(divisors)
+            s = s_polynomial(f, g, key)
+            assert str(s) == str(support.ref_s_polynomial(f, g, key))
+            # The primitive form seeded by s_polynomial is the recomputed one.
+            assert s._primitive() == Polynomial(ctx, dict(s.terms()))._primitive()
+            expected = support.ref_normal_form_against(s, divisors, key)
+            assert str(normal_form_against(s, divisors, key)) == str(expected)
+
+    seen = _lines_run(normal_form_against, run)
+    assert any(c < 0 for c in leads) and any(c > 0 and c != 1 for c in leads)
+    # The lead multiplier m = lc_g / gcd(c, lc_g) was not 1, and content was cancelled.
+    assert "work = {e: v * m for e, v in work.items()}" in seen
+    assert "work = {e: v // content for e, v in work.items()}" in seen

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,39 @@ def test_coefficient_lookup():
     assert p.coefficient((1, 1)) == 2
     assert p.coefficient((0, 1)) == -1
     assert p.coefficient((5, 5)) == 0
+
+
+def test_coefficient_rejects_wrong_length():
+    p = 2 * X * Y - Y
+    for exponent in [(1,), (1, 1, 0), ()]:
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            p.coefficient(exponent)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.0, 1.0, "1/3", Decimal("0.1"), None, 1j])
+def test_inexact_coefficients_are_rejected(bad):
+    with pytest.raises(TypeError):
+        Polynomial(CTX, {(1, 0): bad})
+    with pytest.raises(TypeError):
+        Polynomial.constant(CTX, bad)
+    with pytest.raises(TypeError):
+        Polynomial.monomial(CTX, (0, 1), bad)
+    with pytest.raises(TypeError):
+        (X + Y).evaluate([1, bad])
+    for combine in (lambda: X * bad, lambda: bad * X, lambda: X + bad):
+        with pytest.raises(TypeError):
+            combine()
+
+
+def test_memo_is_per_order_and_invisible_to_equality():
+    p = Polynomial(CTX, {(1, 0): Fraction(-3, 2), (0, 2): Fraction(5, 4)})
+    fresh = Polynomial(CTX, {(1, 0): Fraction(-3, 2), (0, 2): Fraction(5, 4)})
+    before = hash(p)
+    assert p._primitive() == ({(1, 0): -6, (0, 2): 5}, Fraction(1, 4))
+    assert p.leading_term(grevlex_key) == ((0, 2), Fraction(5, 4))
+    assert p.leading_term(lex_key) == ((1, 0), Fraction(-3, 2))
+    assert p.leading_term(grevlex_key) == ((0, 2), Fraction(5, 4))
+    assert p == fresh and fresh == p
+    assert hash(p) == before == hash(fresh)
+    assert len({p, fresh}) == 1
+    assert Polynomial.zero(CTX)._primitive() == ({}, Fraction(1))
