@@ -21,7 +21,16 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import linalg
-from .liealg import ChainElement, CochainCE, LieAlgebraFD, LieModuleFD, ce_coboundary, coboundary_matrix
+from .liealg import (
+    ChainElement,
+    CochainCE,
+    LieAlgebraFD,
+    LieModuleFD,
+    _sparse,
+    _transpose,
+    ce_coboundary,
+    coboundary_matrix,
+)
 
 Vec = list[Fraction]
 
@@ -301,9 +310,13 @@ def characteristic_class(
     descended = CochainCE(quotient.algebra, q_module, 2, data)
     if not ce_coboundary(descended).is_zero:
         raise RuntimeError("descended 2-cochain is not closed; this indicates a bug")
-    exact_rows = linalg.transpose(coboundary_matrix(quotient.algebra, q_module, 1))
+    # the exact 2-cochains are spanned by the columns of d on 1-cochains
+    q = quotient.algebra
+    exact_rows = _transpose(coboundary_matrix(q, q_module, 1), q.dim * h1.dim)
     reduced, pivots = linalg.rref(exact_rows)
-    class_vector = tuple(linalg.residue(descended.coordinates(), reduced, pivots))
+    coords = descended.coordinates()
+    res = linalg.residue(_sparse(coords), reduced, pivots)
+    class_vector = tuple(res.get(j, Fraction(0)) for j in range(len(coords)))
     return CharClassResult(ideal, h1, quotient, q_module, descended, class_vector)
 
 

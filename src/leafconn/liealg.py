@@ -22,8 +22,17 @@ being an odd derivation:
 
     [u, v] = delta(u) ^ v + (-1)^m u ^ delta(v) - delta(u ^ v).
 
+The two matrices are sparse rows (``linalg.Sparse``, built straight from
+the kernel and the action matrices), and homology, cohomology and the
+boundary and coboundary solvers hand them to ``linalg`` as they are, so no
+Lie matrix is ever densified.  Structure constants are also kept as the
+nonzero (index, coefficient) pairs of each basis bracket, which is what the
+kernel, ``bracket`` and the Jacobi check iterate.
+
 All homology/cohomology dimensions come from exact rational row
 reduction; representative choices are deterministic (leftmost pivots).
+Coefficients are ``int`` or ``Fraction``; floats and strings are a
+``TypeError``.
 """
 from __future__ import annotations
 
@@ -32,6 +41,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg
+from .linalg import Sparse, _exact
 from .tensors import merge_sign
 
 Vec = list[Fraction]
@@ -51,12 +61,17 @@ class LieAlgebraFD:
         self.labels = labels
         self.dim = n
         self._table: tuple[tuple[tuple[Fraction, ...], ...], ...] = tuple(
-            tuple(tuple(Fraction(c) for c in cell) for cell in row) for row in table
+            tuple(tuple(_exact(c) for c in cell) for cell in row) for row in table
         )
         for i in range(n):
             for j in range(n):
                 if len(self._table[i][j]) != n:
                     raise ValueError("structure-constant table must be n x n x n")
+        # the nonzero (t, c) of each [x_i, x_j] = sum_t c x_t
+        self._nonzero: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = tuple(
+            tuple(tuple((t, c) for t, c in enumerate(cell) if c) for cell in row)
+            for row in self._table
+        )
         self._validate()
 
     # -- construction helpers ----------------------------------------------
@@ -80,7 +95,7 @@ class LieAlgebraFD:
             i, j = index[a], index[b]
             for name, coeff in combo.items():
                 k = index[name]
-                value = Fraction(coeff)
+                value = _exact(coeff)
                 table[i][j][k] += value
                 table[j][i][k] -= value
         return cls(labels, table)
@@ -95,20 +110,16 @@ class LieAlgebraFD:
                             f"structure constants are not antisymmetric at "
                             f"([{self.labels[i]},{self.labels[j]}], {self.labels[k]})"
                         )
+        nonzero = self._nonzero
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc = [Fraction(0)] * n
-                    for vec, other in (
-                        (self.bracket_basis(i, j), k),
-                        (self.bracket_basis(j, k), i),
-                        (self.bracket_basis(k, i), j),
-                    ):
-                        for t, c in enumerate(vec):
-                            if c:
-                                for s, c2 in enumerate(self.bracket_basis(t, other)):
-                                    acc[s] += c * c2
-                    if any(acc):
+                    acc: dict[int, Fraction] = {}
+                    for pair, other in ((nonzero[i][j], k), (nonzero[j][k], i), (nonzero[k][i], j)):
+                        for t, c in pair:
+                            for s, c2 in nonzero[t][other]:
+                                acc[s] = acc.get(s, 0) + c * c2
+                    if any(acc.values()):
                         raise ValueError(
                             f"Jacobi identity fails on "
                             f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
@@ -133,9 +144,8 @@ class LieAlgebraFD:
             for j, b in enumerate(v):
                 if not b:
                     continue
-                for k, c in enumerate(self._table[i][j]):
-                    if c:
-                        out[k] += a * b * c
+                for k, c in self._nonzero[i][j]:
+                    out[k] += a * b * c
         return out
 
     def blades(self, grade: int) -> list[IndexTuple]:
@@ -211,7 +221,7 @@ class LieModuleFD:
             raise ValueError("need one action matrix per basis element")
         mats = []
         for mat in matrices:
-            rows = [[Fraction(c) for c in row] for row in mat]
+            rows = [[_exact(c) for c in row] for row in mat]
             if dim is None:
                 dim = len(rows)
             if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -274,7 +284,7 @@ class ChainElement:
                 raise ValueError(f"bad blade {idx!r} for grade {grade}")
             if any(not 0 <= i < algebra.dim for i in idx):
                 raise ValueError(f"blade {idx!r} out of range")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 clean[idx] = coeff
         self.algebra = algebra
@@ -289,9 +299,7 @@ class ChainElement:
     def vector(cls, algebra: LieAlgebraFD, coords: Sequence[Fraction | int]) -> "ChainElement":
         if len(coords) != algebra.dim:
             raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
-        return cls(
-            algebra, 1, {(i,): Fraction(c) for i, c in enumerate(coords) if Fraction(c)}
-        )
+        return cls(algebra, 1, {(i,): c for i, c in enumerate(coords)})
 
     @property
     def is_zero(self) -> bool:
@@ -329,7 +337,7 @@ class ChainElement:
         return self + (-other)
 
     def scale(self, factor: Fraction | int) -> "ChainElement":
-        factor = Fraction(factor)
+        factor = _exact(factor)
         return ChainElement(
             self.algebra, self.grade, {i: factor * c for i, c in self.components.items()}
         )
@@ -380,19 +388,22 @@ class ChainElement:
 
 def _blade_boundary(g: LieAlgebraFD, blade: IndexTuple) -> dict[IndexTuple, Fraction]:
     """The boundary of one basis blade, sum_{a<b} (-1)^(a+b) [x_a, x_b] ^ rest,
-    keyed by the blades one grade lower; empty for grades 0 and 1."""
+    keyed by the blades one grade lower, nonzero cells only; empty for
+    grades 0 and 1."""
     out: dict[IndexTuple, Fraction] = {}
+    nonzero = g._nonzero
     for a in range(len(blade)):
         for b in range(a + 1, len(blade)):
+            constants = nonzero[blade[a]][blade[b]]
+            if not constants:
+                continue
             pair_sign = -1 if (a + b) % 2 else 1  # (-1)^(i+j) with 1-based i,j
             rest = blade[:a] + blade[a + 1 : b] + blade[b + 1 :]
-            for t, c in enumerate(g.bracket_basis(blade[a], blade[b])):
-                if not c:
-                    continue
+            for t, c in constants:
                 merged, sign = merge_sign((t,), rest)
                 if sign:
-                    out[merged] = out.get(merged, Fraction(0)) + c * pair_sign * sign
-    return out
+                    out[merged] = out.get(merged, 0) + c * pair_sign * sign
+    return {face: c for face, c in out.items() if c}
 
 
 def boundary_delta(u: ChainElement) -> ChainElement:
@@ -414,15 +425,26 @@ def supercommutator(u: ChainElement, v: ChainElement) -> ChainElement:
     return term - boundary_delta(u.wedge(v))
 
 
-def delta_matrix(g: LieAlgebraFD, grade: int) -> list[Vec]:
-    """Matrix rows of the boundary from grade to grade-1 blade coordinates."""
-    source = g.blades(grade)
+def delta_matrix(g: LieAlgebraFD, grade: int) -> list[Sparse]:
+    """Sparse matrix rows of the boundary from grade to grade-1 blade
+    coordinates: row r maps the column of each grade blade to its nonzero
+    coefficient on the r-th blade one grade lower.  Grade 0 has one zero
+    row (the boundary of the grade-0 blade is 0)."""
     position = {b: k for k, b in enumerate(g.blades(max(grade - 1, 0)))}
-    rows = [[Fraction(0)] * len(source) for _ in position]
-    for col, blade in enumerate(source):
+    rows: list[Sparse] = [{} for _ in position]
+    for col, blade in enumerate(g.blades(grade)):
         for face, c in _blade_boundary(g, blade).items():
             rows[position[face]][col] = c
     return rows
+
+
+def _transpose(rows: list[Sparse], ncols: int) -> list[Sparse]:
+    """The ``ncols`` columns of sparse rows, as sparse rows."""
+    out: list[Sparse] = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
 
 
 class HomologyGrade:
@@ -436,23 +458,26 @@ class HomologyGrade:
 
 
 def homology(g: LieAlgebraFD) -> list[HomologyGrade]:
-    """Exact homology of the boundary complex, grades 0..dim."""
+    """Exact homology of the boundary complex, grades 0..dim.
+
+    Every matrix and vector here is sparse: the image of the boundary into
+    grade m is spanned by the columns of ``delta_matrix(g, m + 1)``."""
     out = []
-    dm: list[Vec] = []  # delta_matrix(g, m), carried over from grade m - 1
+    dm = delta_matrix(g, 0)  # delta_matrix(g, m), carried over from grade m - 1
     for m in range(g.dim + 1):
         blades = g.blades(m)
         kernel = linalg.nullspace(dm, len(blades))
         next_matrix = delta_matrix(g, m + 1) if m + 1 <= g.dim else []
-        reduced, pivots = linalg.rref(linalg.transpose(next_matrix))
+        reduced, pivots = linalg.rref(_transpose(next_matrix, len(g.blades(m + 1))))
         reps: list[ChainElement] = []
-        rep_rows: list[Vec] = []
+        rep_rows: list[Sparse] = []
         rep_pivots: list[int] = []
         for vec in kernel:
             res = linalg.residue(vec, reduced, pivots)
             extra = linalg.residue(res, rep_rows, rep_pivots)
-            if any(extra):
+            if extra:
                 rep_rows, rep_pivots = linalg.rref(rep_rows + [extra])
-                reps.append(ChainElement(g, m, {b: c for b, c in zip(blades, res) if c}))
+                reps.append(ChainElement(g, m, {blades[j]: c for j, c in res.items()}))
         rank_image = len(reduced)
         dim_h = len(kernel) - rank_image
         out.append(HomologyGrade(m, dim_h, reps))
@@ -466,11 +491,15 @@ def is_boundary(u: ChainElement) -> Optional[ChainElement]:
     if u.is_zero:
         return ChainElement(g, u.grade + 1)
     matrix = delta_matrix(g, u.grade + 1)
-    solution = linalg.solve(matrix, u.coordinates())
+    solution = linalg.solve(matrix, _sparse(u.coordinates()))
     if solution is None:
         return None
     blades = g.blades(u.grade + 1)
-    return ChainElement(g, u.grade + 1, {b: c for b, c in zip(blades, solution) if c})
+    return ChainElement(g, u.grade + 1, {blades[j]: c for j, c in solution.items()})
+
+
+def _sparse(vec: Vec) -> Sparse:
+    return {j: x for j, x in enumerate(vec) if x}
 
 
 class CochainCE:
@@ -494,7 +523,9 @@ class CochainCE:
             idx = tuple(idx)
             if len(idx) != grade or any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"bad blade {idx!r} for grade {grade}")
-            vec = tuple(Fraction(c) for c in value)
+            if any(not 0 <= i < algebra.dim for i in idx):
+                raise ValueError(f"blade {idx!r} out of range")
+            vec = tuple(_exact(c) for c in value)
             if len(vec) != module.dim:
                 raise ValueError("component value has wrong module dimension")
             if any(vec):
@@ -522,8 +553,11 @@ class CochainCE:
         cls, algebra: LieAlgebraFD, module: LieModuleFD, grade: int, vec: Sequence[Fraction]
     ) -> "CochainCE":
         m = module.dim
+        blades = algebra.blades(grade)
+        if len(vec) != len(blades) * m:
+            raise ValueError(f"expected {len(blades) * m} coordinates, got {len(vec)}")
         data = {}
-        for k, blade in enumerate(algebra.blades(grade)):
+        for k, blade in enumerate(blades):
             data[blade] = tuple(vec[k * m : (k + 1) * m])
         return cls(algebra, module, grade, data)
 
@@ -551,7 +585,7 @@ class CochainCE:
         return self + other.scale(-1)
 
     def scale(self, factor: Fraction | int) -> "CochainCE":
-        factor = Fraction(factor)
+        factor = _exact(factor)
         return CochainCE(
             self.algebra,
             self.module,
@@ -622,26 +656,26 @@ def ce_coboundary(w: CochainCE) -> CochainCE:
     return CochainCE(g, S, w.grade + 1, data)
 
 
-def coboundary_matrix(g: LieAlgebraFD, S: LieModuleFD, grade: int) -> list[Vec]:
-    """Matrix rows of d from grade to grade+1 cochain coordinates."""
+def coboundary_matrix(g: LieAlgebraFD, S: LieModuleFD, grade: int) -> list[Sparse]:
+    """Sparse matrix rows of d from grade to grade+1 cochain coordinates
+    (coordinate k * S.dim + r is module component r on the k-th blade)."""
     m = S.dim
     position = {b: k * m for k, b in enumerate(g.blades(grade))}
-    ncols = len(position) * m
-    rows: list[Vec] = []
+    rows: list[Sparse] = []
     for blade in g.blades(grade + 1):
-        block = [[Fraction(0)] * ncols for _ in range(m)]
+        block: list[Sparse] = [{} for _ in range(m)]
         for p in range(len(blade)):
             sign = -1 if p % 2 else 1
             col = position[blade[:p] + blade[p + 1 :]]
             for r, action_row in enumerate(S.matrices[blade[p]]):
                 for s, a in enumerate(action_row):
                     if a:
-                        block[r][col + s] += sign * a
+                        block[r][col + s] = block[r].get(col + s, 0) + sign * a
         for face, c in _blade_boundary(g, blade).items():
             col = position[face]
             for r in range(m):
-                block[r][col + r] += c
-        rows.extend(block)
+                block[r][col + r] = block[r].get(col + r, 0) + c
+        rows.extend({j: x for j, x in row.items() if x} for row in block)
     return rows
 
 
@@ -668,7 +702,8 @@ def is_coboundary(w: CochainCE) -> Optional[CochainCE]:
         return None
     g, S = w.algebra, w.module
     matrix = coboundary_matrix(g, S, w.grade - 1)
-    solution = linalg.solve(matrix, w.coordinates())
+    solution = linalg.solve(matrix, _sparse(w.coordinates()))
     if solution is None:
         return None
-    return CochainCE.from_coordinates(g, S, w.grade - 1, solution)
+    ncols = len(g.blades(w.grade - 1)) * S.dim
+    return CochainCE.from_coordinates(g, S, w.grade - 1, [solution.get(j, 0) for j in range(ncols)])

@@ -13,34 +13,87 @@ needed.
 The reduced row echelon form of a matrix is unique, so results do not
 depend on the order of elimination: the reduced rows and pivots, the
 nullspace basis (one vector per free column) and the residues are exactly
-those of plain left-to-right Gauss-Jordan.  Inputs and outputs stay dense
-``list[list[Fraction]]`` rows, which is what the callers build and read
-(and what the benchmark tracer reads from the ``rows`` argument of
-``rref``).  Every public function checks the shapes it is given and raises
-``ValueError`` on ragged rows or mismatched lengths rather than truncating.
+those of plain left-to-right Gauss-Jordan.
+
+Rows come in two kinds, and ``rref``, ``rank``, ``nullspace``, ``solve`` and
+``residue`` take either: dense sequences of one common length, or ``Sparse``
+dicts that map column indices to their nonzero cells (the kind ``liealg``
+builds its (co)boundary matrices in).  Each answers in the kind it was
+given; an empty row list has no kind and answers dense.  ``matvec``,
+``matmul``, ``transpose`` and ``invert`` take dense rows.  Every public
+function checks the shapes it is given and raises ``ValueError`` on ragged
+rows, mixed kinds, mismatched lengths or out-of-range sparse columns rather
+than truncating, and ``TypeError`` on a cell that is not ``int`` or
+``Fraction``: floats and strings never enter exact arithmetic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 Vec = list[Fraction]
 Mat = list[Vec]
 Sparse = dict[int, Fraction]
+Row = Union[Sequence[Fraction], Sparse]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _width(rows: Sequence[Sequence], expected: Optional[int] = None) -> int:
-    """The common row length; ``expected`` when there are no rows."""
+def _exact(value) -> Fraction:
+    """``value`` as a ``Fraction``; only ``int`` and ``Fraction`` are exact."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__} {value!r}")
+
+
+def _check_cells(cells: Collection) -> None:
+    """``TypeError`` unless every cell is an ``int`` or a ``Fraction``."""
+    for kind in set(map(type, cells)):
+        if not issubclass(kind, (int, Fraction)):
+            _exact(next(x for x in cells if type(x) is kind))
+
+
+def _is_sparse(rows: Sequence[Row]) -> bool:
+    """Whether ``rows`` are sparse dicts; they must all be of one kind."""
+    kinds = {isinstance(row, dict) for row in rows}
+    if len(kinds) > 1:
+        raise ValueError("rows mix dense sequences and sparse dicts")
+    return True in kinds
+
+
+def _shape(rows: Sequence[Row], ncols: Optional[int] = None) -> Optional[int]:
+    """Check the shape of rows of either kind.
+
+    Dense rows must share one length (``ncols`` if given); the result is
+    that length, or ``ncols`` (else 0) when there are no rows.  Sparse rows
+    must have columns in ``range(ncols)``, or non-negative ones when the
+    width is open; the result is ``None``.
+    """
+    if _is_sparse(rows):
+        for row in rows:
+            if row and (min(row) < 0 or (ncols is not None and max(row) >= ncols)):
+                bad = min(row) if min(row) < 0 else max(row)
+                bound = "" if ncols is None else f" for {ncols} columns"
+                raise ValueError(f"sparse column {bad} out of range{bound}")
+        return None
     widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
-    width = widths.pop() if widths else expected
-    if expected is not None and width != expected:
-        raise ValueError(f"matrix rows have length {width}, expected {expected}")
+    width = widths.pop() if widths else ncols
+    if ncols is not None and width != ncols:
+        raise ValueError(f"matrix rows have length {width}, expected {ncols}")
     return width or 0
+
+
+def _width(rows: Sequence[Sequence[Fraction]], expected: Optional[int] = None) -> int:
+    """The common length of dense rows (``expected`` when there are none)."""
+    width = _shape(rows, expected)
+    if width is None:
+        raise ValueError("sparse rows where dense rows are needed")
+    return width
 
 
 def _subtract(target: Sparse, factor: Fraction, row: Sparse) -> None:
@@ -53,11 +106,14 @@ def _subtract(target: Sparse, factor: Fraction, row: Sparse) -> None:
             del target[j]
 
 
-def _echelon(rows: Iterable[Sequence]) -> dict[int, Sparse]:
+def _echelon(rows: Iterable[Row]) -> dict[int, Sparse]:
     """Pivot column -> its fully reduced row, for the span of ``rows``."""
     reduced: dict[int, Sparse] = {}
-    for dense in rows:
-        row = {j: x if isinstance(x, Fraction) else Fraction(x) for j, x in enumerate(dense) if x}
+    for given in rows:
+        sparse = isinstance(given, dict)
+        _check_cells(given.values() if sparse else given)
+        cells = given.items() if sparse else enumerate(given)
+        row = {j: x if type(x) is Fraction else Fraction(x) for j, x in cells if x}
         # pivot rows vanish at each other's pivots, so one pass clears them all
         for col in [c for c in row if c in reduced]:
             _subtract(row, row[col], reduced[col])
@@ -82,28 +138,43 @@ def _dense(row: Sparse, ncols: int) -> Vec:
     return out
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
+def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
     """Reduced row echelon form and its pivot columns (zero rows dropped)."""
-    ncols = _width(rows)
+    ncols = _shape(rows)
     reduced = _echelon(rows)
     pivots = sorted(reduced)
+    if ncols is None:
+        return [reduced[c] for c in pivots], pivots
     return [_dense(reduced[c], ncols) for c in pivots], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    _width(rows)
+def rank(rows: Sequence[Row]) -> int:
+    _shape(rows)
     return len(_echelon(rows))
 
 
-def residue(vec: Sequence[Fraction], reduced: Mat, pivots: list[int]) -> Vec:
+def residue(vec: Row, reduced: Sequence[Row], pivots: list[int]) -> Vec | Sparse:
     """Canonical representative of ``vec`` modulo the row space of ``reduced``.
 
-    ``reduced``/``pivots`` must come from :func:`rref`.  The result has a
-    zero in every pivot column; it is zero iff ``vec`` lies in the span.
+    ``reduced``/``pivots`` must come from :func:`rref`, of the kind of
+    ``vec`` (or be empty).  The result has a zero in every pivot column; it
+    is zero (all zeros, or an empty dict) iff ``vec`` lies in the span.
     """
-    _width(reduced, len(vec))
     if len(pivots) != len(reduced):
         raise ValueError(f"{len(pivots)} pivots for {len(reduced)} reduced rows")
+    if isinstance(vec, dict):
+        if reduced and not isinstance(reduced[0], dict):
+            raise ValueError("dense reduced rows for a sparse vector")
+        _shape([vec])
+        _check_cells(vec.values())
+        out = {j: x if type(x) is Fraction else Fraction(x) for j, x in vec.items() if x}
+        for row, col in zip(reduced, pivots):
+            factor = out.get(col)
+            if factor:
+                _subtract(out, factor, row)
+        return out
+    _width(reduced, len(vec))
+    _check_cells(vec)
     out = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
     for row, col in zip(reduced, pivots):
         factor = out[col]
@@ -114,23 +185,27 @@ def residue(vec: Sequence[Fraction], reduced: Mat, pivots: list[int]) -> Vec:
     return out
 
 
-def in_span(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> bool:
-    _width(rows, len(vec))
+def in_span(rows: Sequence[Row], vec: Row) -> bool:
+    sparse = isinstance(vec, dict)
+    _shape(rows, None if sparse else len(vec))
     reduced, pivots = rref(rows)
-    return not any(residue(vec, reduced, pivots))
+    res = residue(vec, reduced, pivots)
+    return not (res if sparse else any(res))
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
+def nullspace(rows: Sequence[Row], ncols: int) -> list[Vec] | list[Sparse]:
     """Basis of the right nullspace, one vector per free column.
 
     Each basis vector has value 1 at its free column and zeros at the other
     free columns (the standard back-substitution parametrization).
     """
-    _width(rows, ncols)
+    sparse = _shape(rows, ncols) is None
     reduced = _echelon(rows)
-    basis = {free: [_ZERO] * ncols for free in range(ncols) if free not in reduced}
-    for free, vec in basis.items():
-        vec[free] = _ONE
+    free = [j for j in range(ncols) if j not in reduced]
+    if sparse:
+        basis = {j: {j: _ONE} for j in free}
+    else:
+        basis = {j: _dense({j: _ONE}, ncols) for j in free}
     for col, row in reduced.items():
         for j, x in row.items():
             if j != col:
@@ -138,11 +213,24 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     return list(basis.values())
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
+def solve(rows: Sequence[Row], rhs: Row) -> Vec | Sparse | None:
     """One exact solution of ``rows @ x = rhs`` or ``None`` if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic.  With a
+    sparse ``rhs`` (a dict over the row indices) the rows must be sparse and
+    the solution is a sparse dict over the columns.
     """
+    if isinstance(rhs, dict):
+        if rows and _shape(rows) is not None:
+            raise ValueError("dense rows with a sparse right-hand side")
+        _shape([rhs], len(rows))
+        _check_cells(rhs.values())
+        # one column past every column in use: the augmented column
+        aug = max((max(row) for row in rows if row), default=-1) + 1
+        reduced = _echelon({**row, aug: rhs[i]} if i in rhs else row for i, row in enumerate(rows))
+        if aug in reduced:
+            return None
+        return {col: row[aug] for col, row in reduced.items() if aug in row}
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
     ncols = _width(rows)
@@ -157,18 +245,24 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | 
 
 def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Vec:
     _width(rows, len(vec))
+    for row in (*rows, vec):
+        _check_cells(row)
     return [sum((a * b for a, b in zip(row, vec) if a and b), _ZERO) for row in rows]
 
 
 def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
     _width(a, len(b))
     _width(b)
+    for row in (*a, *b):
+        _check_cells(row)
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col) if x and y), _ZERO) for col in cols] for row in a]
 
 
 def transpose(rows: Sequence[Sequence[Fraction]]) -> Mat:
     _width(rows)
+    for row in rows:
+        _check_cells(row)
     return [list(col) for col in zip(*rows)]
 
 

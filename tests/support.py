@@ -15,14 +15,19 @@ from leafconn.ideals import Ideal
 from leafconn.liealg import (
     ChainElement,
     CochainCE,
+    HomologyGrade,
     LieAlgebraFD,
     LieModuleFD,
+    abelian_algebra,
     boundary_delta,
     ce_coboundary,
-    coboundary_matrix,
+    direct_sum,
+    heisenberg3,
+    sl2,
+    so3,
 )
 from leafconn.poly import Polynomial, VarContext
-from leafconn.tensors import DifferentialForm, MultivectorField
+from leafconn.tensors import DifferentialForm, MultivectorField, merge_sign
 
 XY = VarContext(["x", "y"])
 XYZ = VarContext(["x", "y", "z"])
@@ -235,7 +240,7 @@ def abelianized_class_agrees(
         data[blade] = tuple(linalg.matvec(n_inverse, value))
     pulled = CochainCE(q_a.algebra, before.module, 2, data)
     difference = before.form - pulled
-    exact_rows = linalg.transpose(coboundary_matrix(q_a.algebra, before.module, 1))
+    exact_rows = linalg.transpose(reference_coboundary_matrix(q_a.algebra, before.module, 1))
     reduced, pivots = linalg.rref(exact_rows)
     return not any(linalg.residue(difference.coordinates(), reduced, pivots))
 
@@ -243,9 +248,32 @@ def abelianized_class_agrees(
 # -- dense reference linear algebra ------------------------------------------------
 # Plain left-to-right Gauss-Jordan on dense Fraction rows: the elimination
 # leafconn.linalg used before its sparse kernel, kept as a differential oracle.
+# Given sparse rows (dicts of nonzero cells), each oracle densifies them, runs
+# the dense elimination and answers with the sparse form of its dense answer.
+
+
+def densify(rows, ncols):
+    """Dense rows of width ``ncols`` from sparse ``{column: value}`` rows."""
+    return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+
+
+def sparsify(vec):
+    """The sparse form of a dense vector: its nonzero cells."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _is_sparse(rows):
+    return bool(rows) and isinstance(rows[0], dict)
+
+
+def _sparse_width(*rows):
+    return max((max(row) + 1 for row in rows if row), default=0)
 
 
 def ref_rref(rows):
+    if _is_sparse(rows):
+        reduced, pivots = ref_rref(densify(rows, _sparse_width(*rows)))
+        return [sparsify(row) for row in reduced], pivots
     mat = [[Fraction(x) for x in row] for row in rows]
     if not mat:
         return [], []
@@ -275,6 +303,9 @@ def ref_rank(rows):
 
 
 def ref_residue(vec, reduced, pivots):
+    if isinstance(vec, dict):
+        width = _sparse_width(vec, *reduced)
+        return sparsify(ref_residue(densify([vec], width)[0], densify(reduced, width), pivots))
     out = [Fraction(x) for x in vec]
     for row, col in zip(reduced, pivots):
         if out[col]:
@@ -284,6 +315,8 @@ def ref_residue(vec, reduced, pivots):
 
 
 def ref_nullspace(rows, ncols):
+    if _is_sparse(rows):
+        return [sparsify(vec) for vec in ref_nullspace(densify(rows, ncols), ncols)]
     reduced, pivots = ref_rref(rows)
     basis = []
     for free in range(ncols):
@@ -298,6 +331,10 @@ def ref_nullspace(rows, ncols):
 
 
 def ref_solve(rows, rhs):
+    if isinstance(rhs, dict):
+        dense = [rhs.get(i, Fraction(0)) for i in range(len(rows))]
+        solution = ref_solve(densify(rows, _sparse_width(*rows)), dense)
+        return None if solution is None else sparsify(solution)
     if not rows:
         return [] if not any(rhs) else None
     ncols = len(rows[0])
@@ -333,6 +370,159 @@ def rand_sparse_matrix(rng, nrows, ncols, density):
     if rows and rng.random() < 0.3:
         rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
     return rows
+
+
+# -- reference Lie matrices and (co)homology ------------------------------------
+# The dense boundary and coboundary matrices and the (co)homology leafconn
+# computed from them before its Lie matrices became sparse rows.  The code is
+# the old code; only its row reductions go through the dense Gauss-Jordan
+# oracles above and its per-blade kernel walks the dense bracket table, so
+# these share no elimination and no boundary kernel with the sparse path.
+
+
+def _ref_blade_boundary(g, blade):
+    out = {}
+    for a in range(len(blade)):
+        for b in range(a + 1, len(blade)):
+            pair_sign = -1 if (a + b) % 2 else 1  # (-1)^(i+j) with 1-based i,j
+            rest = blade[:a] + blade[a + 1 : b] + blade[b + 1 :]
+            for t, c in enumerate(g.bracket_basis(blade[a], blade[b])):
+                if not c:
+                    continue
+                merged, sign = merge_sign((t,), rest)
+                if sign:
+                    out[merged] = out.get(merged, Fraction(0)) + c * pair_sign * sign
+    return out
+
+
+def ref_delta_matrix(g, grade):
+    """Matrix rows of the boundary from grade to grade-1 blade coordinates."""
+    source = g.blades(grade)
+    position = {b: k for k, b in enumerate(g.blades(max(grade - 1, 0)))}
+    rows = [[Fraction(0)] * len(source) for _ in position]
+    for col, blade in enumerate(source):
+        for face, c in _ref_blade_boundary(g, blade).items():
+            rows[position[face]][col] = c
+    return rows
+
+
+def ref_homology(g):
+    """Exact homology of the boundary complex, grades 0..dim."""
+    out = []
+    dm = []  # ref_delta_matrix(g, m), carried over from grade m - 1
+    for m in range(g.dim + 1):
+        blades = g.blades(m)
+        kernel = ref_nullspace(dm, len(blades))
+        next_matrix = ref_delta_matrix(g, m + 1) if m + 1 <= g.dim else []
+        reduced, pivots = ref_rref(linalg.transpose(next_matrix))
+        reps = []
+        rep_rows = []
+        rep_pivots = []
+        for vec in kernel:
+            res = ref_residue(vec, reduced, pivots)
+            extra = ref_residue(res, rep_rows, rep_pivots)
+            if any(extra):
+                rep_rows, rep_pivots = ref_rref(rep_rows + [extra])
+                reps.append(ChainElement(g, m, {b: c for b, c in zip(blades, res) if c}))
+        rank_image = len(reduced)
+        dim_h = len(kernel) - rank_image
+        out.append(HomologyGrade(m, dim_h, reps))
+        dm = next_matrix
+    return out
+
+
+def ref_is_boundary(u):
+    """A preimage under the boundary operator, or None if there is none."""
+    g = u.algebra
+    if u.is_zero:
+        return ChainElement(g, u.grade + 1)
+    matrix = ref_delta_matrix(g, u.grade + 1)
+    solution = ref_solve(matrix, u.coordinates())
+    if solution is None:
+        return None
+    blades = g.blades(u.grade + 1)
+    return ChainElement(g, u.grade + 1, {b: c for b, c in zip(blades, solution) if c})
+
+
+def ref_coboundary_matrix(g, S, grade):
+    """Matrix rows of d from grade to grade+1 cochain coordinates."""
+    m = S.dim
+    position = {b: k * m for k, b in enumerate(g.blades(grade))}
+    ncols = len(position) * m
+    rows = []
+    for blade in g.blades(grade + 1):
+        block = [[Fraction(0)] * ncols for _ in range(m)]
+        for p in range(len(blade)):
+            sign = -1 if p % 2 else 1
+            col = position[blade[:p] + blade[p + 1 :]]
+            for r, action_row in enumerate(S.matrices[blade[p]]):
+                for s, a in enumerate(action_row):
+                    if a:
+                        block[r][col + s] += sign * a
+        for face, c in _ref_blade_boundary(g, blade).items():
+            col = position[face]
+            for r in range(m):
+                block[r][col + r] += c
+        rows.extend(block)
+    return rows
+
+
+def ref_cohomology(g, S):
+    """(grade, dimension) of the cochain complex's cohomology, grades 0..dim."""
+    out = []
+    ranks = {}
+    for m in range(g.dim + 1):
+        ncols = len(g.blades(m)) * S.dim
+        ranks[m] = ref_rank(ref_coboundary_matrix(g, S, m))
+        kernel_dim = ncols - ranks[m]
+        image_dim = ranks[m - 1] if m >= 1 else 0
+        out.append((m, kernel_dim - image_dim))
+    return out
+
+
+def ref_is_coboundary(w):
+    """A preimage under d, or None; grade-0 cochains are never coboundaries."""
+    if w.grade == 0:
+        return None
+    g, S = w.algebra, w.module
+    matrix = ref_coboundary_matrix(g, S, w.grade - 1)
+    solution = ref_solve(matrix, w.coordinates())
+    if solution is None:
+        return None
+    return CochainCE.from_coordinates(g, S, w.grade - 1, solution)
+
+
+def permuted_sum(rng, max_dim):
+    """A direct sum of sl2, so3, h3 and 1-dimensional summands of dimension at
+    most ``max_dim`` (at least 3), with its basis order shuffled."""
+    factories = (sl2, so3, heisenberg3, lambda: abelian_algebra(1))
+    g = rng.choice(factories[:3])()
+    while g.dim < max_dim and rng.random() < 0.8:
+        part = rng.choice([f() for f in factories if f().dim <= max_dim - g.dim])
+        g = direct_sum(g, part)
+    order = list(range(g.dim))
+    rng.shuffle(order)
+    table = [[[g.bracket_basis(i, j)[k] for k in order] for j in order] for i in order]
+    return LieAlgebraFD([g.labels[i] for i in order], table)
+
+
+def strictly_upper_triangular(n):
+    """The nilpotent algebra of strictly upper-triangular n x n matrices, basis
+    E_ij (i < j) with [E_ij, E_kl] = [j = k] E_il - [l = i] E_kj."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = [f"E{i}{j}" for i, j in pairs]
+    brackets = {}
+    for i, j in pairs:
+        for k, l in pairs:
+            if (i, j) < (k, l):
+                combo = {}
+                if j == k:
+                    combo[f"E{i}{l}"] = 1
+                if l == i:
+                    combo[f"E{k}{j}"] = -1
+                if combo:
+                    brackets[(f"E{i}{j}", f"E{k}{l}")] = combo
+    return LieAlgebraFD.from_brackets(labels, brackets)
 
 
 # The derivation-slice and cochain-evaluation code leafconn used before it

@@ -257,9 +257,10 @@ def closed_chain(rng, g, grade):
         return ChainElement(g, grade, {b: F(rng.randint(-3, 3)) for b in blades})
     kernel = nullspace(delta_matrix(g, grade), len(blades))
     coords = [F(0)] * len(blades)
-    for vec in kernel:
+    for vec in kernel:  # sparse kernel vectors of the sparse boundary rows
         c = rng.randint(-2, 2)
-        coords = [a + c * b for a, b in zip(coords, vec)]
+        for j, x in vec.items():
+            coords[j] += c * x
     return ChainElement(g, grade, dict(zip(blades, coords)))
 
 

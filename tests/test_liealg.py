@@ -38,6 +38,15 @@ def rand_chain(rng, g, grade, lo=-3, hi=3):
     )
 
 
+def rand_cochain(rng, g, S, grade):
+    values = {
+        b: [support.rand_fraction(rng) for _ in range(S.dim)]
+        for b in g.blades(grade)
+        if rng.random() < 0.5
+    }
+    return CochainCE(g, S, grade, values)
+
+
 def test_factories():
     assert sl2().labels == ("e", "f", "h")
     assert heisenberg3().labels == ("e", "f", "h")
@@ -209,14 +218,24 @@ def test_cohomology_dimensions():
     assert cohomology(h3, support.adjoint(h3)) == [(0, 1), (1, 4), (2, 5), (3, 2)]
 
 
+def _nonzero_fractions(rows):
+    return all(type(x) is Fraction and x for row in rows for x in row.values())
+
+
 def test_matrices_match_unit_probing_references():
     for g in (sl2(), so3(), heisenberg3(), direct_sum(sl2(), heisenberg3())):
         for grade in range(g.dim + 1):
-            assert delta_matrix(g, grade) == support.reference_delta_matrix(g, grade)
+            rows = delta_matrix(g, grade)
+            assert _nonzero_fractions(rows)
+            ncols = len(g.blades(grade))
+            assert support.densify(rows, ncols) == support.reference_delta_matrix(g, grade)
         for S in (LieModuleFD.trivial(g, 2), support.adjoint(g)):
             for grade in range(g.dim + 1):
+                rows = coboundary_matrix(g, S, grade)
+                assert _nonzero_fractions(rows)
+                ncols = len(g.blades(grade)) * S.dim
                 expected = support.reference_coboundary_matrix(g, S, grade)
-                assert coboundary_matrix(g, S, grade) == expected
+                assert support.densify(rows, ncols) == expected
 
 
 def test_volume_pairing_cocycle_is_exact():
@@ -330,3 +349,78 @@ def test_homology_and_cohomology_unchanged_under_dense_reference(monkeypatch):
     for name in ("rref", "rank", "residue", "nullspace", "solve"):
         monkeypatch.setattr(linalg, name, getattr(support, f"ref_{name}"))
     assert snapshot() == sparse
+
+
+def _differential_algebras():
+    rng = random.Random(808)
+    return [support.permuted_sum(rng, 7) for _ in range(5)] + [support.strictly_upper_triangular(4)]
+
+
+@pytest.mark.parametrize("g", _differential_algebras(), ids=repr)
+def test_sparse_path_matches_dense_parent_code(g):
+    rng = random.Random(g.dim)
+
+    def table(grades):
+        return [(h.grade, h.dimension, [r.components for r in h.representatives]) for h in grades]
+
+    assert table(homology(g)) == table(support.ref_homology(g))
+    for grade in range(g.dim + 1):
+        for _ in range(3):
+            u = rand_chain(rng, g, grade)
+            if grade < g.dim and rng.random() < 0.5:
+                u = boundary_delta(rand_chain(rng, g, grade + 1))
+            assert is_boundary(u) == support.ref_is_boundary(u)
+    for S in (LieModuleFD.trivial(g), LieModuleFD.trivial(g, 2), support.adjoint(g)):
+        assert cohomology(g, S) == support.ref_cohomology(g, S)
+        for grade in range(g.dim + 1):
+            w = rand_cochain(rng, g, S, grade)
+            if grade and rng.random() < 0.5:
+                w = ce_coboundary(rand_cochain(rng, g, S, grade - 1))
+            assert is_coboundary(w) == support.ref_is_coboundary(w)
+
+
+def test_strictly_upper_triangular_homology():
+    # checks that do not come from leafconn: nilpotent algebras are
+    # unimodular, so Poincare duality gives dim H_k = dim H_{6-k}; and
+    # H_1 = n/[n, n], where [n, n] is spanned by E02, E13 and E03
+    n4 = support.strictly_upper_triangular(4)
+    dims = [h.dimension for h in homology(n4)]
+    assert dims == dims[::-1]
+    assert dims[1] == 3
+
+
+def test_cochain_blades_out_of_range_are_rejected():
+    g = sl2()
+    S = LieModuleFD.trivial(g)
+    for blade in ((7,), (-1,), (0, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            CochainCE(g, S, len(blade), {blade: (1,)})
+
+
+def test_cochain_from_coordinates_rejects_wrong_length():
+    g = sl2()
+    S = LieModuleFD.trivial(g)
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 4"):
+        CochainCE.from_coordinates(g, S, 1, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="expected 6 coordinates, got 3"):
+        CochainCE.from_coordinates(g, LieModuleFD.trivial(g, 2), 1, [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, S: ChainElement(g, 1, {(0,): 0.5}),
+        lambda g, S: ChainElement.vector(g, [0.1, 0, 0]),
+        lambda g, S: ChainElement.basis(g, [0]).scale(0.5),
+        lambda g, S: CochainCE(g, S, 1, {(0,): ("1/3",)}),
+        lambda g, S: CochainCE(g, S, 1, {(0,): (1,)}).scale(0.5),
+        lambda g, S: LieAlgebraFD(["a"], [[[0.0]]]),
+        lambda g, S: LieAlgebraFD.from_brackets(["a", "b"], {("a", "b"): {"a": 0.1}}),
+        lambda g, S: LieAlgebraFD.from_brackets(["a", "b"], {("a", "b"): {"a": "1/3"}}),
+        lambda g, S: LieModuleFD(abelian_algebra(1), [[[0.5]]]),
+    ],
+)
+def test_floats_and_strings_are_rejected(call):
+    g = sl2()
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        call(g, LieModuleFD.trivial(g))

@@ -166,3 +166,85 @@ def test_vector_length_must_match_row_width():
 def test_invert_rejects_non_square():
     with pytest.raises(ValueError):
         linalg.invert([[1, 0, 0], [0, 1, 0]])
+
+
+def test_sparse_rows_answer_the_sparse_form_of_the_dense_answer():
+    rng = random.Random(88)
+    sparsify = support.sparsify
+    for trial in range(400):
+        nrows, ncols = rng.randint(1, 8), rng.randint(0, 8)
+        density = rng.choice([0.05, 0.1, 0.25, 0.5, 1.0])
+        m = support.rand_sparse_matrix(rng, nrows, ncols, density)
+        s = [sparsify(row) for row in m]
+        reduced, pivots = linalg.rref(m)
+        s_reduced, s_pivots = linalg.rref(s)
+        assert (s_reduced, s_pivots) == ([sparsify(row) for row in reduced], pivots), trial
+        assert linalg.rank(s) == linalg.rank(m)
+        basis = linalg.nullspace(s, ncols)
+        assert basis == [sparsify(vec) for vec in linalg.nullspace(m, ncols)]
+        vec = support.rand_sparse_matrix(rng, 1, ncols, density)[0]
+        res = linalg.residue(sparsify(vec), s_reduced, pivots)
+        assert res == sparsify(linalg.residue(vec, reduced, pivots))
+        assert linalg.in_span(s, sparsify(vec)) == linalg.in_span(m, vec)
+        rhs = [rng.choice([0, 1, Fraction(-2, 3)]) for _ in range(nrows)]
+        solution = linalg.solve(m, rhs)
+        s_solution = linalg.solve(s, sparsify(rhs))
+        assert s_solution == (None if solution is None else sparsify(solution))
+        for answer in (*s_reduced, *basis, res, s_solution or {}):
+            assert all(type(x) is Fraction and x for x in answer.values())
+
+
+def test_sparse_columns_out_of_range_are_rejected():
+    with pytest.raises(ValueError, match="sparse column -1 out of range"):
+        linalg.rref([{0: 1}, {-1: 1}])
+    with pytest.raises(ValueError, match="sparse column -2 out of range"):
+        linalg.rank([{-2: 1, 3: 1}])
+    with pytest.raises(ValueError, match="sparse column 2 out of range for 2 columns"):
+        linalg.nullspace([{0: 1}, {2: 1}], 2)
+    with pytest.raises(ValueError, match="sparse column -1 out of range for 2 columns"):
+        linalg.nullspace([{-1: 1}], 2)
+    with pytest.raises(ValueError, match="sparse column -1 out of range"):
+        linalg.residue({-1: 1}, [], [])
+    with pytest.raises(ValueError, match="sparse column -1 out of range"):
+        linalg.solve([{-1: 1}], {0: 1})
+    # the right-hand side is indexed by row
+    with pytest.raises(ValueError, match="sparse column 1 out of range for 1 columns"):
+        linalg.solve([{0: 1}], {1: 1})
+
+
+def test_dense_and_sparse_rows_do_not_mix():
+    with pytest.raises(ValueError, match="mix"):
+        linalg.rank([{0: 1}, [1]])
+    with pytest.raises(ValueError):
+        linalg.residue([1, 0], [{0: 1}], [0])
+    with pytest.raises(ValueError):
+        linalg.residue({0: 1}, [[1, 0]], [0])
+    with pytest.raises(ValueError):
+        linalg.solve([[1]], {0: 1})
+    with pytest.raises(ValueError):
+        linalg.solve([{0: 1}], [1])
+    with pytest.raises(ValueError):
+        linalg.transpose([{0: 1}])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.rank([["1/3", 0.1]]),
+        lambda: linalg.rref([[0.0, 1]]),
+        lambda: linalg.rank([{0: 0.5}]),
+        lambda: linalg.nullspace([[1, 0.5]], 2),
+        lambda: linalg.solve([[1]], [0.5]),
+        lambda: linalg.solve([{0: 1}], {0: 0.5}),
+        lambda: linalg.residue([0.5], [], []),
+        lambda: linalg.residue({0: "1"}, [], []),
+        lambda: linalg.in_span([[1]], [0.5]),
+        lambda: linalg.matvec([[1]], [0.5]),
+        lambda: linalg.matmul([[0.5]], [[1]]),
+        lambda: linalg.transpose([[0.5]]),
+        lambda: linalg.invert([[0.5]]),
+    ],
+)
+def test_floats_and_strings_are_rejected(call):
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        call()
