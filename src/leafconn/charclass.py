@@ -43,7 +43,7 @@ class LieIdeal:
     """A subspace closed under brackets with the whole algebra."""
 
     def __init__(self, ambient: LieAlgebraFD, rows: Sequence[Sequence[Fraction | int]]):
-        clean = [[Fraction(c) for c in row] for row in rows]
+        clean = [[linalg._exact(c) for c in row] for row in rows]
         if any(len(row) != ambient.dim for row in clean):
             raise ValueError("ideal basis vectors must have ambient dimension")
         reduced, pivots = linalg.rref(clean)
@@ -138,7 +138,7 @@ class ProjectionOperator:
 
     def __init__(self, ideal: LieIdeal, matrix: Sequence[Sequence[Fraction | int]]):
         n = ideal.ambient.dim
-        rows = [[Fraction(c) for c in row] for row in matrix]
+        rows = [[linalg._exact(c) for c in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("projection matrix must be square of ambient size")
         for i, unit in enumerate(linalg.identity(n)):

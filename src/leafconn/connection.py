@@ -85,7 +85,7 @@ class LeafContext:
         n = len(self.context)
         if len(point) != n:
             raise ValueError(f"point has length {len(point)}, expected {n}")
-        pt = tuple(Fraction(c) for c in point)
+        pt = tuple(map(linalg._exact, point))
         for g in self.ideal.generators:
             if g.evaluate(pt) != 0:
                 raise NotOnLeafError(f"generator {g} does not vanish at {point_str(pt)}")

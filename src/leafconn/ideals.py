@@ -1,21 +1,27 @@
 """Polynomial ideals with cached reduced Gröbner bases.
 
-Buchberger's algorithm with the two classical shortcuts (skip pairs with
-coprime leading monomials; skip pairs covered by an already-treated third
-element).  Leading monomials are computed once and kept beside the basis;
-pending pairs wait in one heap, treated in ascending ``(key(lcm), i, j)``
-order.  One pass in ascending lead order keeps a minimal basis, and each
-survivor is tail-reduced against the others.  The result is monic and
-inter-reduced, so it is the unique reduced Gröbner basis for the ideal and
-the chosen monomial order, which makes ``normal_form`` canonical and
-``contains`` decidable.
+Buchberger's algorithm with the Gebauer–Möller pair update and sugar
+selection.  Leading monomials are computed once and kept beside the basis.
+When an element joins the basis, the update (Becker–Weispfenning's form)
+queues only the new pairs that no other new pair's lcm divides, one per
+group of equal lcms, drops the new pairs with coprime leading monomials,
+and drops each old pair whose lcm the new lead divides unless a side pair
+has the same lcm.  Pending pairs wait in one heap, treated in ascending
+``(sugar, key(lcm), i, j)`` order: a generator's sugar is its total degree,
+a pair's is the larger of its two sides' sugars raised to the lcm, and a
+new element inherits its pair's.  One pass in ascending lead order keeps a
+minimal basis, and each survivor is tail-reduced against the others.  The
+result is monic and inter-reduced, so it is the unique reduced Gröbner basis
+for the ideal and the chosen monomial order, which makes ``normal_form``
+canonical and ``contains`` decidable.
 
 Inputs and outputs are exact ``Fraction`` polynomials, but division and
 S-polynomials run fraction-free on the primitive integer forms that each
 :class:`~leafconn.poly.Polynomial` caches: integer pseudo-division with the
 content cancelled and one rational scale tracked beside the work.  The
 integer work is always a nonzero multiple of the exact work, so every step,
-and the remainder, is the one exact division gives.
+and the remainder, is the one exact division gives.  Each step's leading
+work term is the last entry of an ascending list of order keys.
 
 An :class:`Ideal` is immutable; the basis is computed once on first use
 (thread-safe via a lock) and cached.
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from bisect import insort
 from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
@@ -74,11 +81,18 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key) -> Poly
     ints, scale = p._primitive()
     work = dict(ints)
     # Each exponent's order key is computed once, when it enters the work.
+    # Every term a step adds lies below the term it reduces, so the keys
+    # wait in one ascending list and the leading work term is its last
+    # entry; a key whose term cancelled stays there and is skipped.
     keys = {e: key(e) for e in work}
+    exponents = {k: e for e, k in keys.items()}
+    pending = sorted(exponents)
     remainder: dict[Exponent, Fraction] = {}
-    while work:
-        exponent = max(work, key=keys.__getitem__)
-        c = work[exponent]
+    while pending:
+        exponent = exponents[pending.pop()]
+        c = work.get(exponent)
+        if c is None:
+            continue
         for g_exp, lc, g_ints in divisors:
             if all(map(le, g_exp, exponent)):  # _divides, inlined in the hot loop
                 d = gcd(c, lc) if lc > 0 else -gcd(c, lc)
@@ -94,7 +108,9 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key) -> Poly
                     if v:
                         work[e] = v
                         if e not in keys:
-                            keys[e] = key(e)
+                            k = keys[e] = key(e)
+                            exponents[k] = e
+                            insort(pending, k)
                     else:
                         del work[e]
                 if m != 1:
@@ -136,37 +152,42 @@ def buchberger(generators: Sequence[Polynomial], key) -> list[Polynomial]:
     """The reduced Gröbner basis of the ideal spanned by ``generators``."""
     basis = [_monic(g, key) for g in generators if not g.is_zero]
     leads = [g.leading_term(key)[0] for g in basis]
-    pairs: list[tuple] = []  # heap of (key(lcm), i, j), i < j
-    done: set[tuple[int, int]] = set()
+    sugars = [g.total_degree() for g in basis]
+    pairs: list[tuple] = []  # heap of (sugar, key(lcm), i, j, lcm), i < j
 
-    def add_pairs(new: int) -> None:
-        for k in range(new):
-            heapq.heappush(pairs, (key(_exp_lcm(leads[k], leads[new])), k, new))
+    def update(h: int) -> None:
+        """Gebauer–Möller: queue the useful pairs (k, h), drop old pairs h covers."""
+        lead_h, sugar_h = leads[h], sugars[h]
+        degree_h = sum(lead_h)
+        lcms = [_exp_lcm(lead, lead_h) for lead in leads[:h]]
+        coprime = [sum(lcm) == sum(lead) + degree_h for lead, lcm in zip(leads, lcms)]
+        # Criterion M: drop (k, h) when a pending or kept new pair's lcm
+        # divides its lcm; of equal lcms the last survives.  Coprime pairs
+        # stay until all are seen, so that they still drop others.
+        alive = [True] * h
+        for k, lcm in enumerate(lcms):
+            if not coprime[k]:
+                alive[k] = not any(alive[m] and m != k and _divides(lcms[m], lcm) for m in range(h))
+        # Drop (i, j) when lead(h) divides its lcm, unless (i, h) or (j, h)
+        # has the same lcm.
+        pairs[:] = [p for p in pairs if not _divides(lead_h, p[4]) or p[4] in (lcms[p[2]], lcms[p[3]])]
+        heapq.heapify(pairs)
+        for k, lcm in enumerate(lcms):
+            if alive[k] and not coprime[k]:
+                degree = sum(lcm)
+                sugar = max(sugars[k] + degree - sum(leads[k]), sugar_h + degree - degree_h)
+                heapq.heappush(pairs, (sugar, key(lcm), k, h, lcm))
 
-    for new in range(len(basis)):
-        add_pairs(new)
+    for h in range(len(basis)):
+        update(h)
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        lcm = _exp_lcm(leads[i], leads[j])
-        # Coprime leading monomials: the S-polynomial reduces to zero.
-        if lcm == tuple(a + b for a, b in zip(leads[i], leads[j])):
-            continue
-        # Chain criterion: a third element divides the lcm and both side
-        # pairs are already treated.
-        if any(
-            k not in (i, j)
-            and _divides(lead, lcm)
-            and tuple(sorted((i, k))) in done
-            and tuple(sorted((j, k))) in done
-            for k, lead in enumerate(leads)
-        ):
-            continue
+        sugar, _, i, j, _ = heapq.heappop(pairs)
         remainder = normal_form_against(s_polynomial(basis[i], basis[j], key), basis, key)
         if not remainder.is_zero:
             basis.append(_monic(remainder, key))
             leads.append(basis[-1].leading_term(key)[0])
-            add_pairs(len(basis) - 1)
+            sugars.append(sugar)
+            update(len(basis) - 1)
     return _reduce_basis(basis, key)
 
 

@@ -112,7 +112,7 @@ class PoissonStructure:
         n = len(self.context)
         if len(point) != n:
             raise ValueError(f"point has length {len(point)}, expected {n}")
-        pt = [Fraction(c) for c in point]
+        pt = list(map(linalg._exact, point))
         matrix = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), coeff in self.bivector.components():
             value = coeff.evaluate(pt)

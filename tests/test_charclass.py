@@ -81,6 +81,20 @@ def test_projection_operator():
         )
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/3"])
+def test_inexact_entries_rejected(bad):
+    h3, _ = center_of_heisenberg()
+    with pytest.raises(TypeError):
+        LieIdeal(h3, [[0, 0, bad]])
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3"])
+def test_inexact_projection_rejected(bad):
+    _, ideal = center_of_heisenberg()
+    with pytest.raises(TypeError):
+        ProjectionOperator(ideal, [[0, 0, 0], [0, 0, 0], [bad, F(1, 3), 1]])
+
+
 def test_projection_form_and_subcomplex_property():
     _, ideal = center_of_heisenberg()
     form = projection_form(ideal)

@@ -157,6 +157,21 @@ def test_not_on_leaf():
         TransversalVector(leaf, mv("d/dx")).class_at((1, 0))
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/3"])
+def test_inexact_point_rejected(bad):
+    pi = PoissonStructure(mv("d/dx ^ d/dy", CTX3))
+    ideal = Ideal(CTX3, [pp("z", CTX3)])
+    with pytest.raises(TypeError):
+        LeafContext(pi, ideal, base_point=(bad, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3"])
+def test_inexact_query_point_rejected(bad):
+    leaf = plane_leaf()
+    with pytest.raises(TypeError):
+        TransversalVector(leaf, mv("d/dz", CTX3)).class_at((0, bad, 0))
+
+
 def test_non_integral_ideal_rejected():
     pi = PoissonStructure(mv("d/dx ^ d/dy"))
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from leafconn import ideals
 from leafconn.ideals import Ideal, normal_form_against, s_polynomial, vanishing_ideal_of_point
 from leafconn.parse import parse_polynomial
 from leafconn.poly import MONOMIAL_ORDERS, Polynomial, VarContext, grevlex_key
@@ -148,28 +149,115 @@ def _term_map(items) -> frozenset:
     return frozenset((tuple(e), Fraction(str(c))) for e, c in items)
 
 
+def _to_sympy(sympy, symbols, p):
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms()}
+    return sympy.Poly.from_dict(terms, *symbols, domain="QQ").as_expr()
+
+
+def _assert_sympy_basis(sympy, ideal, gens):
+    """``ideal``'s reduced basis equals sympy's; returns sympy's basis and symbols."""
+    symbols = sympy.symbols(ideal.context.names)
+    exprs = [_to_sympy(sympy, symbols, g) for g in gens]
+    expected = sympy.groebner(exprs, *symbols, order=ideal.order, domain="QQ")
+    assert {_term_map(g.terms()) for g in ideal.groebner_basis()} == {
+        _term_map(g.as_dict().items()) for g in expected.polys
+    }
+    return expected, symbols
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_matches_sympy_on_random_ideals(order):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(43)
     for _ in range(25):
         ctx, gens = rand_ideal_case(rng)
-        symbols = sympy.symbols(ctx.names)
-
-        def to_sympy(p):
-            terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms()}
-            return sympy.Poly.from_dict(terms, *symbols, domain="QQ").as_expr()
-
         ideal = Ideal(ctx, gens, order)
-        expected = sympy.groebner([to_sympy(g) for g in gens], *symbols, order=order, domain="QQ")
-        assert {_term_map(g.terms()) for g in ideal.groebner_basis()} == {
-            _term_map(g.as_dict().items()) for g in expected.polys
-        }
+        expected, symbols = _assert_sympy_basis(sympy, ideal, gens)
         for _ in range(3):
             p = support.rand_poly(rng, ctx, degree=4, terms=4)
-            _, remainder = sympy.reduced(to_sympy(p), expected.exprs, *symbols, order=order, domain="QQ")
+            _, remainder = sympy.reduced(
+                _to_sympy(sympy, symbols, p), expected.exprs, *symbols, order=order, domain="QQ"
+            )
             expected_nf = sympy.Poly(remainder, *symbols, domain="QQ").as_dict()
             assert _term_map(ideal.normal_form(p).terms()) == _term_map(expected_nf.items())
+
+
+KATSURA3 = VarContext(["u0", "u1", "u2", "u3"]), [
+    "u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+    "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+    "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+    "2*u0*u2 + u1^2 + 2*u1*u3 - u2",
+]
+CYCLIC4 = VarContext(["a", "b", "c", "d"]), [
+    "a + b + c + d",
+    "a*b + b*c + c*d + d*a",
+    "a*b*c + b*c*d + c*d*a + d*a*b",
+    "a*b*c*d - 1",
+]
+# Inputs that exercise the pair update: equal leading monomials and equal
+# lcms, redundant and unit generators, and zero generators.
+PAIR_CASES = {
+    "katsura3-lex": (*KATSURA3, "lex"),
+    "cyclic4-lex": (*CYCLIC4, "lex"),
+    "cyclic4-grevlex": (*CYCLIC4, "grevlex"),
+    "duplicates": (CTX, ["x^2 - y", "x*y - 1", "x^2 - y", "x*y - 1"], "grevlex"),
+    "equal-leads": (support.XYZ, ["x^2 + y", "x^2 - z + 1", "x^2 + x*z", "y*z - x"], "grevlex"),
+    "equal-leads-lex": (support.XYZ, ["x*y + z", "x*y - z^2", "x*z - y", "x*z + 1"], "lex"),
+    "scaled-copies": (CTX, ["x^2 - y", "3*x^2 - 3*y", "-1/2*x^2 + 1/2*y", "x*y^2 - x"], "lex"),
+    "unit": (support.XYZ, ["x^2 - y", "x*y*z", "-7", "y^2 - z"], "grevlex"),
+    "zero-generators": (CTX, ["0", "x^2 - y", "0", "y^2 - x", "0"], "lex"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_pair_update_matches_references(case):
+    ctx, texts, order = PAIR_CASES[case]
+    gens = [pp(t, ctx) for t in texts]
+    ideal = Ideal(ctx, gens, order)
+    basis = [str(g) for g in ideal.groebner_basis()]
+    assert basis == [str(g) for g in support.ref_buchberger(gens, MONOMIAL_ORDERS[order])]
+    if case == "unit":
+        assert basis == ["1"]
+    sympy = pytest.importorskip("sympy")
+    _assert_sympy_basis(sympy, ideal, [g for g in gens if not g.is_zero])
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_pair_update_matches_reference_on_binomial_ideals(order):
+    """Binomial ideals in 3-4 variables are full of equal leads and equal lcms."""
+    rng = random.Random(47)
+    key = MONOMIAL_ORDERS[order]
+    for _ in range(60):
+        ctx = VarContext([f"x{i}" for i in range(rng.randint(3, 4))])
+        ideal = support.rand_binomial_ideal(rng, ctx, order)
+        extra = [g * Polynomial.variable(ctx, rng.randrange(len(ctx))) for g in ideal.generators]
+        gens = list(ideal.generators) + extra[: rng.randint(0, len(extra))]
+        reference = support.ref_buchberger(gens, key)
+        assert [str(g) for g in Ideal(ctx, gens, order).groebner_basis()] == [str(g) for g in reference]
+
+
+def test_pair_update_reduces_fewer_pairs(monkeypatch):
+    """On katsura-3 lex the pair update reduces fewer S-polynomials than the
+    reference's coprime and chain criteria."""
+    ctx, texts = KATSURA3
+    gens = [pp(t, ctx) for t in texts]
+    key = MONOMIAL_ORDERS["lex"]
+
+    def count_calls(module, name, caller):
+        calls = []
+        function = getattr(module, name)
+
+        def counted(*args):
+            calls.append(sys._getframe(1).f_code.co_name == caller)
+            return function(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    ours = count_calls(ideals, "normal_form_against", "buchberger")
+    theirs = count_calls(support, "ref_normal_form_against", "ref_buchberger")
+    assert [str(g) for g in ideals.buchberger(gens, key)] == [str(g) for g in support.ref_buchberger(gens, key)]
+    assert 0 < sum(ours) < sum(theirs)
 
 
 def _big_fraction(rng):

@@ -97,6 +97,12 @@ def test_rank_at():
     assert CANONICAL.rank_at((Fraction(1, 2), 0)) == 2
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/3"])
+def test_rank_at_rejects_inexact_point(bad):
+    with pytest.raises(TypeError):
+        CANONICAL.rank_at((bad, 0))
+
+
 def test_is_integral_ideal():
     pi = PoissonStructure(parse_multivector("x * d/dx ^ d/dy", CTX))
     origin = Ideal(CTX, [pp("x"), pp("y")])
