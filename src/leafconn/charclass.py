@@ -338,7 +338,7 @@ def abelianize(algebra: LieAlgebraFD, ideal: LieIdeal) -> Abelianization:
     reduced, _pivots = linalg.rref(commutators)
     if not reduced:
         def identity(vec: Sequence[Fraction]) -> Vec:
-            return [Fraction(c) for c in vec]
+            return [linalg._exact(c) for c in vec]
 
         return Abelianization(algebra, ideal, identity)
     vv = LieIdeal(algebra, reduced)

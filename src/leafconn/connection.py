@@ -120,16 +120,6 @@ class LeafContext:
 
     # -- pointwise transversal quotients -----------------------------------
 
-    def _tangent_rows_at(self, point: Point) -> list[list[Fraction]]:
-        n = len(self.context)
-        rows = []
-        for field in self.tangent_generators():
-            row = [Fraction(0)] * n
-            for (i,), coeff in field.components():
-                row[i] = coeff.evaluate(point)
-            rows.append(row)
-        return rows
-
     def transversal_blades(self, grade: int = 1) -> list[tuple[int, ...]]:
         """All grade-sized increasing index tuples, the ambient blade basis."""
         return list(itertools.combinations(range(len(self.context)), grade))
@@ -146,34 +136,24 @@ class LeafContext:
     def _reduce_tangent_span(self, point: Point, grade: int):
         blades = self.transversal_blades(grade)
         position = {b: k for k, b in enumerate(blades)}
-        rows: list[list[Fraction]] = []
-        tangent_rows = self._tangent_rows_at(point)
-        if grade == 1:
-            rows = [list(r) for r in tangent_rows]
-        else:
-            sub = self.transversal_blades(grade - 1)
-            for t in tangent_rows:
-                for j in sub:
-                    row = [Fraction(0)] * len(blades)
-                    nonzero = False
-                    for i, value in enumerate(t):
-                        if value == 0:
-                            continue
-                        merged, sign = merge_sign((i,), j)
-                        if sign == 0:
-                            continue
-                        row[position[merged]] += sign * value
-                        nonzero = True
-                    if nonzero:
-                        rows.append(row)
+        rows: list[linalg.Sparse] = []
+        for field in self.tangent_generators():
+            t = {i: v for (i,), coeff in field.components() if (v := coeff.evaluate(point))}
+            for j in self.transversal_blades(grade - 1):
+                row = {}
+                for i, value in t.items():
+                    merged, sign = merge_sign((i,), j)
+                    if sign:
+                        row[position[merged]] = sign * value
+                rows.append(row)
         reduced, pivots = linalg.rref(rows)
         complement = [b for k, b in enumerate(blades) if k not in pivots]
-        return blades, position, reduced, pivots, complement
+        return position, reduced, pivots, complement
 
     def transversal_basis_at(self, at=None, grade: int = 1) -> list[tuple[int, ...]]:
         """Complement blades forming the transversal basis at a leaf point."""
         point = self._resolve_point(at)
-        return list(self._quotient_data(point, grade)[4])
+        return list(self._quotient_data(point, grade)[3])
 
     def reduce_mod_tangent(self, field: MultivectorField, at=None) -> tuple[Fraction, ...]:
         """Class of an evaluated multivector in the pointwise quotient.
@@ -184,12 +164,10 @@ class LeafContext:
             raise ContextMismatch("field context does not match the leaf context")
         grade = field.grade if not field.is_zero else max(field.grade, 1)
         point = self._resolve_point(at)
-        blades, position, reduced, pivots, complement = self._quotient_data(point, grade)
-        vec = [Fraction(0)] * len(blades)
-        for idx, coeff in field.components():
-            vec[position[idx]] = coeff.evaluate(point)
+        position, reduced, pivots, complement = self._quotient_data(point, grade)
+        vec = {position[idx]: v for idx, coeff in field.components() if (v := coeff.evaluate(point))}
         res = linalg.residue(vec, reduced, pivots)
-        return tuple(res[position[b]] for b in complement)
+        return tuple(res.get(position[b], Fraction(0)) for b in complement)
 
 
 class TransversalMultivector:

@@ -470,13 +470,10 @@ def homology(g: LieAlgebraFD) -> list[HomologyGrade]:
         next_matrix = delta_matrix(g, m + 1) if m + 1 <= g.dim else []
         reduced, pivots = linalg.rref(_transpose(next_matrix, len(g.blades(m + 1))))
         reps: list[ChainElement] = []
-        rep_rows: list[Sparse] = []
-        rep_pivots: list[int] = []
+        rep_span: dict[int, Sparse] = {}  # echelon of the residues kept so far
         for vec in kernel:
             res = linalg.residue(vec, reduced, pivots)
-            extra = linalg.residue(res, rep_rows, rep_pivots)
-            if extra:
-                rep_rows, rep_pivots = linalg.rref(rep_rows + [extra])
+            if len(linalg._echelon([res], rep_span)) > len(reps):
                 reps.append(ChainElement(g, m, {blades[j]: c for j, c in res.items()}))
         rank_image = len(reduced)
         dim_h = len(kernel) - rank_image

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 One sparse elimination kernel, ``_echelon``, does all the row reduction.
-It keeps each pivot row as a dict of its nonzero cells, ``{column:
-Fraction}``, and takes the input rows one at a time: a row is reduced by the
-pivot rows whose columns it touches, scaled so that its leftmost cell is 1,
-and then cleared out of the earlier pivot rows.  Work follows the nonzeros
-that elimination touches, so the (co)boundary matrices of ``liealg``, which
-are almost all zeros, cost little.  Fill-in stays inside the connected
-blocks of a matrix's row/column graph, so no explicit block splitting is
-needed.
+Every input row, dense or sparse, is read once (``_row``) into a dict of
+its nonzero cells, ``{column: Fraction}``.  The kernel maps each pivot
+column to its pivot row and takes the rows one at a time: a row is reduced
+by the pivot rows whose columns it touches (``_reduce``, the step that
+``residue`` and ``in_span`` share), scaled so that its leftmost cell is 1,
+and then cleared out of the earlier pivot rows.  Given a pivot map it built
+before, ``_echelon`` extends it in place, so a span can grow one row at a
+time.  Work follows the nonzeros that elimination touches, so the
+(co)boundary matrices of ``liealg``, which are almost all zeros, cost
+little.  Fill-in stays inside the connected blocks of a matrix's row/column
+graph, so no explicit block splitting is needed.
 
 The reduced row echelon form of a matrix is unique, so results do not
 depend on the order of elimination: the reduced rows and pivots, the
@@ -19,12 +22,13 @@ Rows come in two kinds, and ``rref``, ``rank``, ``nullspace``, ``solve`` and
 ``residue`` take either: dense sequences of one common length, or ``Sparse``
 dicts that map column indices to their nonzero cells (the kind ``liealg``
 builds its (co)boundary matrices in).  Each answers in the kind it was
-given; an empty row list has no kind and answers dense.  ``matvec``,
-``matmul``, ``transpose`` and ``invert`` take dense rows.  Every public
-function checks the shapes it is given and raises ``ValueError`` on ragged
-rows, mixed kinds, mismatched lengths or out-of-range sparse columns rather
-than truncating, and ``TypeError`` on a cell that is not ``int`` or
-``Fraction``: floats and strings never enter exact arithmetic.
+given, densifying only at the end; an empty row list has no kind and
+answers dense.  ``matvec``, ``matmul``, ``transpose`` and ``invert`` take
+dense rows.  Every public function checks the shapes it is given and raises
+``ValueError`` on ragged rows, mixed kinds, mismatched lengths or
+out-of-range sparse columns rather than truncating, and ``TypeError`` on a
+cell that is not ``int`` or ``Fraction``: floats and strings never enter
+exact arithmetic.
 """
 from __future__ import annotations
 
@@ -96,6 +100,14 @@ def _width(rows: Sequence[Sequence[Fraction]], expected: Optional[int] = None) -
     return width
 
 
+def _row(given: Row) -> Sparse:
+    """``given`` read into the sparse form, with ``Fraction`` cells."""
+    sparse = isinstance(given, dict)
+    _check_cells(given.values() if sparse else given)
+    cells = given.items() if sparse else enumerate(given)
+    return {j: x if type(x) is Fraction else Fraction(x) for j, x in cells if x}
+
+
 def _subtract(target: Sparse, factor: Fraction, row: Sparse) -> None:
     """``target -= factor * row`` on nonzero cells, dropping cells that cancel."""
     for j, x in row.items():
@@ -106,17 +118,23 @@ def _subtract(target: Sparse, factor: Fraction, row: Sparse) -> None:
             del target[j]
 
 
-def _echelon(rows: Iterable[Row]) -> dict[int, Sparse]:
-    """Pivot column -> its fully reduced row, for the span of ``rows``."""
-    reduced: dict[int, Sparse] = {}
+def _reduce(row: Sparse, reduced: dict[int, Sparse]) -> Sparse:
+    """Clear ``row`` in place at the pivot columns of ``reduced``; return it."""
+    # pivot rows vanish at each other's pivots, so one pass clears them all
+    for col in [c for c in row if c in reduced]:
+        _subtract(row, row[col], reduced[col])
+    return row
+
+
+def _echelon(rows: Iterable[Row], reduced: Optional[dict[int, Sparse]] = None) -> dict[int, Sparse]:
+    """Pivot column -> its fully reduced row, for the span of ``rows``.
+
+    Given such a map as ``reduced``, the rows are added to it in place.
+    """
+    if reduced is None:
+        reduced = {}
     for given in rows:
-        sparse = isinstance(given, dict)
-        _check_cells(given.values() if sparse else given)
-        cells = given.items() if sparse else enumerate(given)
-        row = {j: x if type(x) is Fraction else Fraction(x) for j, x in cells if x}
-        # pivot rows vanish at each other's pivots, so one pass clears them all
-        for col in [c for c in row if c in reduced]:
-            _subtract(row, row[col], reduced[col])
+        row = _reduce(_row(given), reduced)
         if not row:
             continue
         lead = min(row)
@@ -136,6 +154,18 @@ def _dense(row: Sparse, ncols: int) -> Vec:
     for j, x in row.items():
         out[j] = x
     return out
+
+
+def _fit(vec: Row, rows: Sequence[Row]) -> bool:
+    """Whether ``vec`` is sparse, after checking that ``rows``, all of one
+    kind, are of its kind (and, if dense, of its length)."""
+    if not isinstance(vec, dict):
+        _width(rows, len(vec))
+        return False
+    if rows and not isinstance(rows[0], dict):
+        raise ValueError("dense rows for a sparse vector")
+    _shape([vec])
+    return True
 
 
 def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
@@ -162,35 +192,20 @@ def residue(vec: Row, reduced: Sequence[Row], pivots: list[int]) -> Vec | Sparse
     """
     if len(pivots) != len(reduced):
         raise ValueError(f"{len(pivots)} pivots for {len(reduced)} reduced rows")
-    if isinstance(vec, dict):
-        if reduced and not isinstance(reduced[0], dict):
-            raise ValueError("dense reduced rows for a sparse vector")
-        _shape([vec])
-        _check_cells(vec.values())
-        out = {j: x if type(x) is Fraction else Fraction(x) for j, x in vec.items() if x}
-        for row, col in zip(reduced, pivots):
-            factor = out.get(col)
-            if factor:
-                _subtract(out, factor, row)
-        return out
-    _width(reduced, len(vec))
-    _check_cells(vec)
-    out = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
-    for row, col in zip(reduced, pivots):
-        factor = out[col]
-        if factor:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] -= factor * x
-    return out
+    sparse = _fit(vec, reduced)
+    out = _row(vec)
+    rows = dict(zip(pivots, reduced))
+    if not sparse:
+        # clearing never adds a pivot column: read only the rows it uses
+        rows = {c: _row(rows[c]) for c in out if c in rows}
+    _reduce(out, rows)
+    return out if sparse else _dense(out, len(vec))
 
 
 def in_span(rows: Sequence[Row], vec: Row) -> bool:
-    sparse = isinstance(vec, dict)
-    _shape(rows, None if sparse else len(vec))
-    reduced, pivots = rref(rows)
-    res = residue(vec, reduced, pivots)
-    return not (res if sparse else any(res))
+    _shape(rows)
+    _fit(vec, rows)
+    return not _reduce(_row(vec), _echelon(rows))
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[Vec] | list[Sparse]:
@@ -220,27 +235,23 @@ def solve(rows: Sequence[Row], rhs: Row) -> Vec | Sparse | None:
     sparse ``rhs`` (a dict over the row indices) the rows must be sparse and
     the solution is a sparse dict over the columns.
     """
-    if isinstance(rhs, dict):
+    sparse = isinstance(rhs, dict)
+    if sparse:
         if rows and _shape(rows) is not None:
             raise ValueError("dense rows with a sparse right-hand side")
         _shape([rhs], len(rows))
-        _check_cells(rhs.values())
         # one column past every column in use: the augmented column
         aug = max((max(row) for row in rows if row), default=-1) + 1
-        reduced = _echelon({**row, aug: rhs[i]} if i in rhs else row for i, row in enumerate(rows))
-        if aug in reduced:
-            return None
-        return {col: row[aug] for col, row in reduced.items() if aug in row}
-    if len(rhs) != len(rows):
-        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
-    ncols = _width(rows)
-    reduced = _echelon((*row, b) for row, b in zip(rows, rhs))
-    if ncols in reduced:
+    else:
+        if len(rhs) != len(rows):
+            raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
+        aug = _width(rows)
+    b = _row(rhs)
+    reduced = _echelon({**_row(row), aug: b[i]} if i in b else row for i, row in enumerate(rows))
+    if aug in reduced:
         return None
-    solution = [_ZERO] * ncols
-    for col, row in reduced.items():
-        solution[col] = row.get(ncols, _ZERO)
-    return solution
+    solution = {col: row[aug] for col, row in reduced.items() if aug in row}
+    return solution if sparse else _dense(solution, aug)
 
 
 def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Vec:

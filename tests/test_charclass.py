@@ -95,6 +95,17 @@ def test_inexact_projection_rejected(bad):
         ProjectionOperator(ideal, [[0, 0, 0], [0, 0, 0], [bad, F(1, 3), 1]])
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/3"])
+def test_inexact_abelianize_projection_rejected(bad):
+    h3, center = center_of_heisenberg()
+    big = direct_sum(sl2(), heisenberg3())
+    quotient = abelianize(big, LieIdeal.from_labels(big, "e", "f", "h", "h2"))
+    # the identity branch ([V,V] = 0) and the quotient branch
+    for ab, dim in ((abelianize(h3, center), 3), (quotient, 6)):
+        with pytest.raises(TypeError):
+            ab.project([bad] + [1] * (dim - 1))
+
+
 def test_projection_form_and_subcomplex_property():
     _, ideal = center_of_heisenberg()
     form = projection_form(ideal)

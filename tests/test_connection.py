@@ -19,7 +19,8 @@ from leafconn.connection import (
 from leafconn.ideals import Ideal
 from leafconn.parse import parse_form, parse_multivector, parse_polynomial
 from leafconn.poisson import PoissonStructure
-from leafconn.tensors import GradeError
+from leafconn.poly import Polynomial, VarContext
+from leafconn.tensors import GradeError, MultivectorField
 
 import support
 
@@ -137,6 +138,25 @@ def test_grade_two_derivative_at_origin():
     assert covariant_derivative_multivector(leaf, form("dy"), section).class_at() == (
         Fraction(1),
     )
+
+
+def test_tangent_quotients_off_the_coordinate_axes():
+    # the tangent span at the point is spanned by d/dx and d/dy + d/dz
+    ctx = VarContext(["x", "y", "z", "w", "v"])
+    pi = PoissonStructure(mv("d/dx ^ d/dy + d/dx ^ d/dz", ctx))
+    leaf = LeafContext(pi, Ideal(ctx, [pp("w", ctx), pp("v", ctx)]), base_point=(1, 2, 3, 0, 0))
+    one = Polynomial.constant(ctx, 1)
+    complements = {1: [(2,), (3,), (4,)], 2: [(2, 3), (2, 4), (3, 4)], 3: [(2, 3, 4)]}
+    for grade, complement in complements.items():
+        assert leaf.transversal_basis_at(None, grade) == complement
+        for b in complement:
+            unit = tuple(Fraction(int(c == b)) for c in complement)
+            assert leaf.reduce_mod_tangent(MultivectorField(ctx, grade, {b: one})) == unit
+        for t in leaf.tangent_generators():
+            for blade in leaf.transversal_blades(grade - 1):
+                field = t.wedge(MultivectorField(ctx, grade - 1, {blade: one}))
+                if not field.is_zero:
+                    assert leaf.reduce_mod_tangent(field) == (Fraction(0),) * len(complement)
 
 
 def test_transversal_class_ignores_tangent_part():

@@ -152,7 +152,10 @@ def test_homology_dimensions():
 
 
 def test_homology_representatives_are_cycles():
-    for g in (heisenberg3(), sl2()):
+    # in grade 1 of [a, b] = a + b, both kernel vectors leave a nonzero
+    # residue modulo the image, and the two residues are dependent
+    skew = LieAlgebraFD.from_brackets(["a", "b"], {("a", "b"): {"a": 1, "b": 1}})
+    for g in (heisenberg3(), sl2(), skew):
         for level in homology(g):
             assert len(level.representatives) == level.dimension
             for rep in level.representatives:
@@ -387,6 +390,13 @@ def test_strictly_upper_triangular_homology():
     dims = [h.dimension for h in homology(n4)]
     assert dims == dims[::-1]
     assert dims[1] == 3
+    # Kostant: dim H_k of the strictly upper triangular n x n matrices is
+    # the number of permutations of S_n with k inversions (Mahonian numbers)
+    mahonian = {4: [1, 3, 5, 6, 5, 3, 1], 5: [1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1]}
+    for n, betti in mahonian.items():
+        grades = homology(support.strictly_upper_triangular(n))
+        assert [h.dimension for h in grades] == betti
+        assert all(len(h.representatives) == h.dimension for h in grades)
 
 
 def test_cochain_blades_out_of_range_are_rejected():

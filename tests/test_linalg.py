@@ -220,6 +220,10 @@ def test_dense_and_sparse_rows_do_not_mix():
     with pytest.raises(ValueError):
         linalg.residue({0: 1}, [[1, 0]], [0])
     with pytest.raises(ValueError):
+        linalg.in_span([[1, 0]], {0: 1})
+    with pytest.raises(ValueError):
+        linalg.in_span([{0: 1}], [1, 0])
+    with pytest.raises(ValueError):
         linalg.solve([[1]], {0: 1})
     with pytest.raises(ValueError):
         linalg.solve([{0: 1}], [1])
