@@ -210,9 +210,11 @@ class QuotientAlgebra:
 
     def lift(self, vec: Sequence[Fraction]) -> Vec:
         """The coordinate section: quotient coordinates back into the algebra."""
+        if len(vec) != len(self.positions):
+            raise ValueError(f"expected {len(self.positions)} quotient coordinates, got {len(vec)}")
         out = [Fraction(0)] * self.ideal.ambient.dim
         for coeff, p in zip(vec, self.positions):
-            out[p] = Fraction(coeff)
+            out[p] = linalg._exact(coeff)
         return out
 
 

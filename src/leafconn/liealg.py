@@ -15,8 +15,10 @@ the coboundary is the Koszul formula
                        + sum_{i<j} (-1)^(i+j) w([X_i,X_j], ..drop i,j..),
 
 whose bracket term is the transpose of the boundary: on a basis blade B
-it is sum_S (delta B)[S] w(S).  So the boundary, the coboundary and both
-of their matrices read one per-blade kernel, ``_blade_boundary``.  The
+it is sum_S (delta B)[S] w(S).  So the boundary and both matrices read one
+per-blade kernel, ``_blade_boundary``; the Koszul formula is written once,
+in ``coboundary_matrix``, and ``ce_coboundary`` applies that matrix.  The
+chain wedge is the exterior-product loop of ``tensors``.  The
 wedge-degree bracket is defined by the deviation of the boundary from
 being an odd derivation:
 
@@ -42,7 +44,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg
 from .linalg import Sparse, _exact
-from .tensors import merge_sign
+from .tensors import _wedge_terms, merge_sign
 
 Vec = list[Fraction]
 IndexTuple = tuple[int, ...]
@@ -345,11 +347,7 @@ class ChainElement:
     def wedge(self, other: "ChainElement") -> "ChainElement":
         self._check(other)
         data: dict[IndexTuple, Fraction] = {}
-        for left, c1 in self.components.items():
-            for right, c2 in other.components.items():
-                merged, sign = merge_sign(left, right)
-                if sign != 0:
-                    data[merged] = data.get(merged, Fraction(0)) + c1 * c2 * sign
+        _wedge_terms(data, self.components, other.components, 1)
         return ChainElement(self.algebra, self.grade + other.grade, data)
 
     def __eq__(self, other: object) -> bool:
@@ -632,25 +630,15 @@ class CochainCE:
 
 
 def ce_coboundary(w: CochainCE) -> CochainCE:
-    """The Koszul coboundary; on grade 0, (da)(X) = X(a)."""
-    g = w.algebra
-    S = w.module
-    data: dict[IndexTuple, list[Fraction]] = {}
-    for blade in g.blades(w.grade + 1):
-        cell = [Fraction(0)] * S.dim
-        for p in range(len(blade)):
-            value = w.components.get(blade[:p] + blade[p + 1 :])
-            if value:
-                sign = -1 if p % 2 else 1
-                for r, c in enumerate(S.act_basis(blade[p], value)):
-                    cell[r] += sign * c
-        for face, c in _blade_boundary(g, blade).items():
-            value = w.components.get(face)
-            if value:
-                for r, v in enumerate(value):
-                    cell[r] += c * v
-        data[blade] = cell
-    return CochainCE(g, S, w.grade + 1, data)
+    """The Koszul coboundary, ``coboundary_matrix`` applied to the
+    coordinates of ``w``; on grade 0, (da)(X) = X(a)."""
+    g, S = w.algebra, w.module
+    x = _sparse(w.coordinates())
+    image = [
+        sum((c * x[j] for j, c in row.items() if j in x), Fraction(0))
+        for row in coboundary_matrix(g, S, w.grade)
+    ]
+    return CochainCE.from_coordinates(g, S, w.grade + 1, image)
 
 
 def coboundary_matrix(g: LieAlgebraFD, S: LieModuleFD, grade: int) -> list[Sparse]:

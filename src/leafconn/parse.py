@@ -43,7 +43,10 @@ class ParseError(ValueError):
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, position)`` tokens, kind being number, ident or op."""
+    """``(kind, text, position)`` tokens, kind being number, ident or op.
+
+    Every number token converts with ``int``: a literal longer than the
+    interpreter's int-string digit limit is a ``ParseError`` here."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -53,8 +56,15 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if match.lastgroup is not None:
-            tokens.append((match.lastgroup, match.group(match.lastgroup), match.start(match.lastgroup)))
+        kind = match.lastgroup
+        if kind is not None:
+            value, start = match.group(kind), match.start(kind)
+            if kind == "number":
+                try:
+                    int(value)
+                except ValueError:
+                    raise ParseError(f"number literal of {len(value)} digits is too long", start) from None
+            tokens.append((kind, value, start))
         pos = match.end()
     return tokens
 

@@ -100,10 +100,14 @@ class SpecDocument:
 
 
 def _parse_rational(text: str, line: int) -> Fraction:
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        # no exponent notation: a few bytes of it can ask for a huge integer
+        if "e" not in text.lower():
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SpecFileError(f"expected a rational number, got {text.strip()!r}", line) from None
+        pass
+    raise SpecFileError(f"expected a rational number, got {text!r}", line)
 
 
 def _parse_point(value: str, line: int) -> tuple[Fraction, ...]:

@@ -2,6 +2,11 @@
 
 Components are stored sparsely on strictly increasing index tuples with
 polynomial coefficients, so every object has one canonical representation.
+A blade (i_1, ..., i_p) is read as the product xi_{i_1} ... xi_{i_p} of odd
+variables (xi_j = d/dx_j for fields, dx_j for forms).  The calculus stands
+on two derivative kernels and one product loop: ``_odd_partials`` (d/dxi_j
+from the left, which is the first-slot contraction), ``_even_partials``
+(d/dx_j of the coefficients) and ``_wedge_terms``.
 
 Sign conventions (pinned; the test suite asserts all of them jointly):
 
@@ -17,7 +22,10 @@ Sign conventions (pinned; the test suite asserts all of them jointly):
   rule with prefactor ``(-1)^(m+1)``:
   ``[X_1^...^X_m, Y_1^...^Y_n] = (-1)^(m+1) * sum_{i,j} (-1)^(i+j)
   [X_i,Y_j] ^ X_1^...(drop i)...^X_m ^ Y_1^...(drop j)...^Y_n``,
-  with ``[X, f] = X(f)`` in grade 0, extended by the Leibniz rule.
+  with ``[X, f] = X(f)`` in grade 0, extended by the Leibniz rule.  In the
+  odd variables this is the odd Poisson bracket
+  ``[U, V] = sum_j dU/dxi_j ^ dV/dx_j + (-1)^|U| dU/dx_j ^ dV/dxi_j``,
+  which is how it is computed.
 
 Under these choices the graded symmetry ``[U,V] = (-1)^(|U||V|) [V,U]``,
 the Leibniz rule ``[U, V^W] = [U,V]^W + (-1)^((|U|+1)|V|) V^[U,W]``, the
@@ -57,10 +65,42 @@ def merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple, int]:
     return tuple(sorted(left + right)), (-1 if inversions % 2 else 1)
 
 
-def _accumulate(out: dict[IndexTuple, Polynomial], key: IndexTuple, value: Polynomial) -> None:
+def _accumulate(out: dict[IndexTuple, Scalar], key: IndexTuple, value: Scalar) -> None:
     """Add ``value`` into ``out[key]``; zero sums stay for the constructor to drop."""
     previous = out.get(key)
     out[key] = value if previous is None else previous + value
+
+
+def _wedge_terms(out: dict[IndexTuple, Scalar], left: Mapping, right: Mapping, sign: int) -> None:
+    """Add ``sign * (left ^ right)`` into ``out``: the one exterior-product
+    loop, for ``Polynomial`` and ``Fraction`` coefficients alike."""
+    for lo, c1 in left.items():
+        for ro, c2 in right.items():
+            merged, s = merge_sign(lo, ro)
+            if s:
+                _accumulate(out, merged, c1 * c2 if s == sign else -(c1 * c2))
+
+
+def _odd_partials(components: Mapping[IndexTuple, Polynomial]) -> dict[int, dict[IndexTuple, Polynomial]]:
+    """The derivatives d/dxi_j from the left in the odd variables: index j at
+    0-based position m of a blade gives (-1)^m coeff on the rest.  This is
+    the first-slot contraction with dx_j (or d/dx_j)."""
+    out: dict[int, dict[IndexTuple, Polynomial]] = {}
+    for indices, coeff in components.items():
+        for pos, j in enumerate(indices):
+            out.setdefault(j, {})[indices[:pos] + indices[pos + 1 :]] = -coeff if pos % 2 else coeff
+    return out
+
+
+def _even_partials(components: Mapping[IndexTuple, Polynomial]) -> dict[int, dict[IndexTuple, Polynomial]]:
+    """The derivatives d/dx_j of the coefficients, nonzero entries only."""
+    out: dict[int, dict[IndexTuple, Polynomial]] = {}
+    for indices, coeff in components.items():
+        for j in range(len(coeff.context)):
+            dj = coeff.partial(j)
+            if not dj.is_zero:
+                out.setdefault(j, {})[indices] = dj
+    return out
 
 
 class _GradedTensor:
@@ -160,14 +200,9 @@ class _GradedTensor:
             raise TypeError("wedge requires two tensors of the same kind")
         if self.context != other.context:
             raise ContextMismatch("tensor contexts differ")
-        grade = self.grade + other.grade
         components: dict[IndexTuple, Polynomial] = {}
-        for left, c1 in self._components.items():
-            for right, c2 in other._components.items():
-                merged, sign = merge_sign(left, right)
-                if sign != 0:
-                    _accumulate(components, merged, c1 * c2 * sign)
-        return type(self)(self.context, grade, components)
+        _wedge_terms(components, self._components, other._components, 1)
+        return type(self)(self.context, self.grade + other.grade, components)
 
     def __xor__(self, other: "_GradedTensor") -> "_GradedTensor":
         return self.wedge(other)
@@ -268,66 +303,34 @@ def wedge(a: _GradedTensor, b: _GradedTensor) -> _GradedTensor:
 
 def differential(f: Polynomial) -> DifferentialForm:
     """The exact 1-form df of a function."""
-    components = {}
-    for i in range(len(f.context)):
-        df = f.partial(i)
-        if not df.is_zero:
-            components[(i,)] = df
-    return DifferentialForm(f.context, 1, components)
+    return exterior_derivative(DifferentialForm.from_scalar(f))
 
 
 def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
-    """d on forms; satisfies d(d(form)) = 0."""
+    """d = sum_j dx_j ^ d/dx_j on forms; satisfies d(d(form)) = 0."""
     if not isinstance(form, DifferentialForm):
         raise TypeError("exterior_derivative acts on differential forms")
-    context = form.context
     components: dict[IndexTuple, Polynomial] = {}
-    for indices, coeff in form._components.items():
-        for j in range(len(context)):
-            dj = coeff.partial(j)
-            if dj.is_zero:
-                continue
-            merged, sign = merge_sign((j,), indices)
-            if sign != 0:
-                _accumulate(components, merged, dj * sign)
-    return DifferentialForm(context, form.grade + 1, components)
-
-
-def _contract_slot(
-    coeffs: Mapping[int, Polynomial], components: Mapping[IndexTuple, Polynomial]
-) -> dict[IndexTuple, Polynomial]:
-    """First-slot contraction of sum_j coeffs[j] * (dx_j or d/dx_j): index j at
-    0-based position m of a blade gives (-1)^m coeffs[j] * coeff on the rest."""
-    out: dict[IndexTuple, Polynomial] = {}
-    for indices, coeff in components.items():
-        for pos, j in enumerate(indices):
-            a = coeffs.get(j)
-            if a is None:
-                continue
-            sign = -1 if pos % 2 else 1
-            _accumulate(out, indices[:pos] + indices[pos + 1 :], a * coeff * sign)
-    return out
+    for j, partials in _even_partials(form._components).items():
+        _wedge_terms(components, {(j,): 1}, partials, 1)
+    return DifferentialForm(form.context, form.grade + 1, components)
 
 
 def _contract(field: MultivectorField, form: DifferentialForm) -> DifferentialForm:
     """Interior product, total: grade deficits give the zero 0-form."""
     if field.context != form.context:
         raise ContextMismatch("tensor contexts differ")
-    context = field.context
     if form.grade < field.grade:
-        return DifferentialForm.zero(context, 0)
-    if field.grade == 0:
-        return form.scale(field.scalar_part())
-    one = Polynomial.constant(context, 1)
+        return DifferentialForm.zero(field.context, 0)
     total: dict[IndexTuple, Polynomial] = {}
     for indices, coeff in field._components.items():
         work = form._components
         # Innermost factor first: i_{X_1 ^ ... ^ X_p} = i_{X_1} o ... o i_{X_p}.
         for j in reversed(indices):
-            work = _contract_slot({j: one}, work)
+            work = _odd_partials(work).get(j, {})
         for rest, value in work.items():
             _accumulate(total, rest, coeff * value)
-    return DifferentialForm(context, form.grade - field.grade, total)
+    return DifferentialForm(field.context, form.grade - field.grade, total)
 
 
 def interior_product(field: MultivectorField, form: DifferentialForm) -> DifferentialForm:
@@ -349,86 +352,46 @@ def lie_derivative(field: MultivectorField, form: DifferentialForm) -> Different
 
 
 def contract_covector(alpha: DifferentialForm, field: MultivectorField) -> MultivectorField:
-    """First-slot contraction of a 1-form into a multivector field."""
+    """First-slot contraction sum_j a_j d/dxi_j of a 1-form into a multivector field."""
     if alpha.grade != 1:
         raise GradeError("contract_covector requires a grade-1 form")
     if alpha.context != field.context:
         raise ContextMismatch("tensor contexts differ")
-    context = field.context
     if field.grade == 0:
         raise GradeError("cannot contract a covector into a grade-0 field")
-    coeffs = {i: c for (i,), c in alpha._components.items()}
-    return MultivectorField(context, field.grade - 1, _contract_slot(coeffs, field._components))
+    odd = _odd_partials(field._components)
+    out: dict[IndexTuple, Polynomial] = {}
+    for (j,), a in alpha._components.items():
+        for rest, c in odd.get(j, {}).items():
+            _accumulate(out, rest, a * c)
+    return MultivectorField(field.context, field.grade - 1, out)
 
 
 def pairing(alpha: DifferentialForm, field: MultivectorField) -> Polynomial:
     """The function <alpha, X> for a 1-form and a grade-1 field."""
     if alpha.grade != 1 or field.grade != 1:
         raise GradeError("pairing requires grade-1 arguments")
-    if alpha.context != field.context:
-        raise ContextMismatch("tensor contexts differ")
-    out = Polynomial.zero(field.context)
-    for (i,), coeff in field._components.items():
-        a = alpha._components.get((i,))
-        if a is not None:
-            out = out + a * coeff
-    return out
+    return _contract(field, alpha).coefficient(())
 
 
 def schouten_bracket(u: MultivectorField, v: MultivectorField) -> MultivectorField:
-    """The Schouten bracket of multivector fields; grade |U| + |V| - 1.
+    """The Schouten bracket of multivector fields; grade max(|U| + |V| - 1, 0).
 
-    For grade-1 arguments this is the usual Lie bracket of vector fields;
-    for a grade-0 argument f it is the derivative action ([X, f] = X(f),
-    extended as a graded derivation).
+    ``sum_j dU/dxi_j ^ dV/dx_j + (-1)^|U| dU/dx_j ^ dV/dxi_j``: for grade-1
+    arguments the usual Lie bracket of vector fields, and for a grade-0
+    argument f the derivative action [X, f] = [f, X] = X(f).
     """
     if not isinstance(u, MultivectorField) or not isinstance(v, MultivectorField):
         raise TypeError("schouten_bracket acts on multivector fields")
     if u.context != v.context:
         raise ContextMismatch("tensor contexts differ")
-    context = u.context
-    p, q = u.grade, v.grade
-    if p == 0 and q == 0:
-        return MultivectorField.zero(context, 0)
-    # [U, f] = sum_a (-1)^(a-1) X_a(f) X_1 ^ ...(drop a)... ^ X_m is the
-    # first-slot contraction of df; graded symmetry gives [f, V] = [V, f].
-    if q == 0:
-        return contract_covector(differential(v.scalar_part()), u)
-    if p == 0:
-        return contract_covector(differential(u.scalar_part()), v)
-
-    one = Polynomial.constant(context, 1)
-    prefactor = 1 if (p + 1) % 2 == 0 else -1
     out: dict[IndexTuple, Polynomial] = {}
-    for iu, cu in u._components.items():
-        for iv, cv in v._components.items():
-            # Decompose cu * d_I as (cu d_{i_1}) ^ d_{i_2} ^ ... and likewise
-            # for v; only pairs touching a coefficient-bearing factor can
-            # have a nonzero bracket.
-            for a in range(p):
-                for b in range(q):
-                    if a > 0 and b > 0:
-                        continue
-                    rest, rest_sign = merge_sign(iu[:a] + iu[a + 1 :], iv[:b] + iv[b + 1 :])
-                    if rest_sign == 0:
-                        continue
-                    ca = cu if a == 0 else one
-                    cb = cv if b == 0 else one
-                    ka, kb = iu[a], iv[b]
-                    # [ca d_ka, cb d_kb] = ca d_ka(cb) d_kb - cb d_kb(ca) d_ka
-                    bracket_terms = []
-                    t1 = ca * cb.partial(ka)
-                    if not t1.is_zero:
-                        bracket_terms.append((t1, kb))
-                    t2 = cb * ca.partial(kb)
-                    if not t2.is_zero:
-                        bracket_terms.append((-t2, ka))
-                    if not bracket_terms:
-                        continue
-                    leftover = (one if a == 0 else cu) * (one if b == 0 else cv)
-                    pair_sign = -1 if (a + b) % 2 else 1  # (-1)^(i+j), 1-based
-                    for coeff, k in bracket_terms:
-                        merged, sign = merge_sign((k,), rest)
-                        if sign != 0:
-                            _accumulate(out, merged, coeff * leftover * (prefactor * pair_sign * rest_sign * sign))
-    return MultivectorField(context, p + q - 1, out)
+    for left, right, sign in (
+        (_odd_partials(u._components), _even_partials(v._components), 1),
+        (_even_partials(u._components), _odd_partials(v._components), -1 if u.grade % 2 else 1),
+    ):
+        for j, du in left.items():
+            dv = right.get(j)
+            if dv:
+                _wedge_terms(out, du, dv, sign)
+    return MultivectorField(u.context, max(u.grade + v.grade - 1, 0), out)

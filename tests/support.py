@@ -164,14 +164,37 @@ def reference_delta_matrix(g: LieAlgebraFD, grade: int) -> list:
     return [[col[r] for col in columns] for r in range(len(target))]
 
 
+def ref_ce_coboundary(w: CochainCE) -> CochainCE:
+    """The Koszul coboundary cell by cell, as leafconn computed it before
+    ``ce_coboundary`` applied ``coboundary_matrix``; on grade 0, (da)(X) = X(a)."""
+    g = w.algebra
+    S = w.module
+    data = {}
+    for blade in g.blades(w.grade + 1):
+        cell = [Fraction(0)] * S.dim
+        for p in range(len(blade)):
+            value = w.components.get(blade[:p] + blade[p + 1 :])
+            if value:
+                sign = -1 if p % 2 else 1
+                for r, c in enumerate(S.act_basis(blade[p], value)):
+                    cell[r] += sign * c
+        for face, c in _ref_blade_boundary(g, blade).items():
+            value = w.components.get(face)
+            if value:
+                for r, v in enumerate(value):
+                    cell[r] += c * v
+        data[blade] = cell
+    return CochainCE(g, S, w.grade + 1, data)
+
+
 def reference_coboundary_matrix(g: LieAlgebraFD, S: LieModuleFD, grade: int) -> list:
     """The coboundary matrix from grade to grade+1, one column per unit
-    cochain read off ``ce_coboundary`` (rows are target coordinates)."""
+    cochain read off ``ref_ce_coboundary`` (rows are target coordinates)."""
     nrows = len(g.blades(grade + 1)) * S.dim
     columns = []
     for blade in g.blades(grade):
         for unit in linalg.identity(S.dim):
-            columns.append(ce_coboundary(CochainCE(g, S, grade, {blade: unit})).coordinates())
+            columns.append(ref_ce_coboundary(CochainCE(g, S, grade, {blade: unit})).coordinates())
     return [[col[r] for col in columns] for r in range(nrows)]
 
 
@@ -782,3 +805,57 @@ def ref_reduce_basis(basis, key) -> list:
         reduced.append(ref_monic(ref_normal_form_against(g, others, key), key) if others else g)
     reduced.sort(key=lambda g: key(g.leading_term(key)[0]))
     return reduced
+
+
+# -- reference Schouten bracket ---------------------------------------------------
+# The monomial rule leafconn used before the bracket read the odd and even
+# partial derivatives: each pair of component blades is split as
+# (c d_{i_1}) ^ d_{i_2} ^ ..., only pairs touching a coefficient-bearing
+# factor are bracketed, and the grade-0 cases are the first-slot contraction
+# of df.  Kept as a differential oracle.
+
+
+def _ref_contract_df(f: Polynomial, field: MultivectorField) -> MultivectorField:
+    """i_{df} in the first slot: index j at 0-based position m gives (-1)^m df/dx_j."""
+    out = {}
+    for indices, coeff in field.components():
+        for pos, j in enumerate(indices):
+            term = f.partial(j) * coeff * (-1 if pos % 2 else 1)
+            rest = indices[:pos] + indices[pos + 1 :]
+            out[rest] = out[rest] + term if rest in out else term
+    return MultivectorField(field.context, field.grade - 1, out)
+
+
+def ref_schouten_bracket(u: MultivectorField, v: MultivectorField) -> MultivectorField:
+    context = u.context
+    p, q = u.grade, v.grade
+    if p == 0 and q == 0:
+        return MultivectorField.zero(context, 0)
+    if q == 0:
+        return _ref_contract_df(v.scalar_part(), u)
+    if p == 0:
+        return _ref_contract_df(u.scalar_part(), v)
+    one = Polynomial.constant(context, 1)
+    prefactor = 1 if (p + 1) % 2 == 0 else -1
+    out = {}
+    for iu, cu in u.components():
+        for iv, cv in v.components():
+            for a in range(p):
+                for b in range(q):
+                    if a > 0 and b > 0:
+                        continue
+                    rest, rest_sign = merge_sign(iu[:a] + iu[a + 1 :], iv[:b] + iv[b + 1 :])
+                    if rest_sign == 0:
+                        continue
+                    ca = cu if a == 0 else one
+                    cb = cv if b == 0 else one
+                    ka, kb = iu[a], iv[b]
+                    # [ca d_ka, cb d_kb] = ca d_ka(cb) d_kb - cb d_kb(ca) d_ka
+                    leftover = (one if a == 0 else cu) * (one if b == 0 else cv)
+                    pair_sign = -1 if (a + b) % 2 else 1  # (-1)^(i+j), 1-based
+                    for coeff, k in ((ca * cb.partial(ka), kb), (-(cb * ca.partial(kb)), ka)):
+                        merged, sign = merge_sign((k,), rest)
+                        if sign != 0 and not coeff.is_zero:
+                            term = coeff * leftover * (prefactor * pair_sign * rest_sign * sign)
+                            out[merged] = out[merged] + term if merged in out else term
+    return MultivectorField(context, p + q - 1, out)

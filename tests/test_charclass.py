@@ -201,3 +201,19 @@ def test_abelianization_preserves_class():
     big = direct_sum(sl2(), heisenberg3())
     V = LieIdeal.from_labels(big, "e", "f", "h", "h2")
     assert support.abelianized_class_agrees(big, V)
+
+
+@pytest.mark.parametrize("bad", [[0.5, F(1, 3)], [1, "1/3"]])
+def test_quotient_lift_rejects_inexact_coordinates(bad):
+    _, ideal = center_of_heisenberg()
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        QuotientAlgebra(ideal).lift(bad)
+
+
+@pytest.mark.parametrize("vec", [[1], [1, 2, 3, 4], []])
+def test_quotient_lift_rejects_wrong_length(vec):
+    _, ideal = center_of_heisenberg()
+    quotient = QuotientAlgebra(ideal)
+    with pytest.raises(ValueError, match=f"expected 2 quotient coordinates, got {len(vec)}"):
+        quotient.lift(vec)
+    assert quotient.lift([1, F(1, 2)]) == [F(1), F(1, 2), F(0)]

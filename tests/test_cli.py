@@ -208,3 +208,45 @@ def test_report_values_parse_back():
     assert str(flat) == "d/dy"
     for chunk in values["basis"].split("; "):
         parse_multivector(chunk, ctx)
+
+
+BIG = "9" * 5000  # past the interpreter's default int-string limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        f"[variables]\nx, y\n\n[ideal big]\nx - {BIG}\n\n[query der-basis]\nideal = big\n",
+        f"[variables]\nx, y\n\n[bivector]\nx ^ y = x^{BIG}\n\n[query check-poisson]\n",
+        f"[lie_algebra heis]\nbasis = e, f, h\n[e, f] = {BIG}*h\n\n"
+        "[query char-class]\nalgebra = heis\nideal = h\n",
+    ],
+    ids=["literal", "exponent", "combo"],
+)
+def test_oversized_number_literal_is_parse_error(body, tmp_path, capsys):
+    spec = tmp_path / "big.spec"
+    spec.write_text(body)
+    assert main(["--spec", str(spec)]) == 3
+    err = capsys.readouterr().err
+    assert "parse error: line " in err
+    assert "number literal of 5000 digits is too long" in err
+
+
+@pytest.mark.parametrize(
+    "option",
+    ["point = 1e10000000, 0", "point = 0, 2E3", "projection = 0, 0, 0; 0, 0, 0; 1e9, 0, 1"],
+)
+def test_exponent_notation_is_parse_error(option, tmp_path, capsys):
+    spec = tmp_path / "exp.spec"
+    if option.startswith("point"):
+        spec.write_text(
+            "[variables]\nx, y\n\n[bivector]\nx ^ y = x\n\n"
+            f"[ideal origin]\nx\ny\n\n[query flat-sections]\nideal = origin\n{option}\n"
+        )
+    else:
+        spec.write_text(
+            "[lie_algebra heis]\nbasis = e, f, h\n[e, f] = h\n\n"
+            f"[query char-class]\nalgebra = heis\nideal = h\n{option}\n"
+        )
+    assert main(["--spec", str(spec)]) == 3
+    assert "expected a rational number, got '" in capsys.readouterr().err

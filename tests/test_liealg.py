@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from leafconn import linalg
+from leafconn.charclass import LieIdeal, h1_module
 from leafconn.liealg import (
     ChainElement,
     CochainCE,
@@ -434,3 +435,24 @@ def test_floats_and_strings_are_rejected(call):
     g = sl2()
     with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
         call(g, LieModuleFD.trivial(g))
+
+
+def test_ce_coboundary_matches_cell_by_cell_reference():
+    # the parent's Koszul cell loop, kept in tests/support.py, on random
+    # cochains of every grade over trivial, adjoint and classes modules
+    rng = random.Random(12)
+    h3 = heisenberg3()
+    big = direct_sum(sl2(), heisenberg3())
+    _, h3_classes = h1_module(LieIdeal.from_labels(h3, "f", "h"))
+    _, big_classes = h1_module(LieIdeal.from_labels(big, "e2", "f2", "h2"))
+    cases = [(g, LieModuleFD.trivial(g, dim)) for g in (sl2(), so3(), h3) for dim in range(3)]
+    cases += [(g, support.adjoint(g)) for g in (sl2(), h3, abelian_algebra(2), big)]
+    cases += [(h3, h3_classes), (big, big_classes)]
+    assert (h3_classes.dim, big_classes.dim) == (2, 2)
+    for g, S in cases:
+        for grade in range(g.dim + 2):
+            for _ in range(3):
+                w = rand_cochain(rng, g, S, grade)
+                got, expected = ce_coboundary(w), support.ref_ce_coboundary(w)
+                assert got == expected
+                assert got.grade == expected.grade == grade + 1

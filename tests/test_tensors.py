@@ -247,3 +247,26 @@ def test_apply_to():
     assert mv("x * d/dy").apply_to(pp("y^2")) == pp("2*x*y")
     with pytest.raises(GradeError):
         mv("d/dx ^ d/dy").apply_to(pp("x"))
+
+
+def test_schouten_matches_monomial_rule_reference():
+    # the parent's monomial-rule bracket, kept in tests/support.py; zero
+    # fields and grades above the variable count included
+    cases = 0
+    for n in range(1, 7):
+        ctx = VarContext([f"x{i}" for i in range(n)])
+        rng = random.Random(7 * n)
+        for p in range(n + 2):
+            for q in range(n + 2):
+                pairs = [
+                    (support.rand_multivector(rng, ctx, p), support.rand_multivector(rng, ctx, q)),
+                    (support.rand_monomial_field(rng, ctx, p), support.rand_multivector(rng, ctx, q, terms=3)),
+                    (MultivectorField.zero(ctx, p), support.rand_multivector(rng, ctx, q)),
+                    (support.rand_multivector(rng, ctx, p), MultivectorField.zero(ctx, q)),
+                ]
+                for U, V in pairs:
+                    got, expected = schouten_bracket(U, V), support.ref_schouten_bracket(U, V)
+                    assert got == expected, (n, p, q, str(U), str(V))
+                    assert got.grade == expected.grade
+                    cases += 1
+    assert cases == 4 * sum((n + 2) ** 2 for n in range(1, 7))
