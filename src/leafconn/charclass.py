@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from . import linalg
@@ -84,17 +85,18 @@ class LieIdeal:
         return f"LieIdeal({gens})"
 
 
+def _commutators(algebra: LieAlgebraFD, rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
+    """The nonzero brackets [rows[i], rows[j]], i < j, which span [V,V]."""
+    images = (algebra.bracket(a, b) for a, b in combinations(rows, 2))
+    return [image for image in images if any(image)]
+
+
 class H1Quotient:
     """V/[V,V] with a deterministic basis and reduction map."""
 
     def __init__(self, ideal: LieIdeal):
         g = ideal.ambient
-        commutators = []
-        for i in range(ideal.dim):
-            for j in range(i + 1, ideal.dim):
-                image = g.bracket(ideal.rows[i], ideal.rows[j])
-                if any(image):
-                    commutators.append(ideal.coordinates(image))
+        commutators = [ideal.coordinates(image) for image in _commutators(g, ideal.rows)]
         reduced, pivots = linalg.rref(commutators)
         self.ideal = ideal
         self.commutator_reduced = reduced
@@ -331,13 +333,7 @@ class Abelianization:
 
 def abelianize(algebra: LieAlgebraFD, ideal: LieIdeal) -> Abelianization:
     """Quotient by [V,V]; the ideal's image becomes abelian."""
-    commutators = []
-    for i in range(ideal.dim):
-        for j in range(i + 1, ideal.dim):
-            image = algebra.bracket(ideal.rows[i], ideal.rows[j])
-            if any(image):
-                commutators.append(image)
-    reduced, _pivots = linalg.rref(commutators)
+    reduced, _pivots = linalg.rref(_commutators(algebra, ideal.rows))
     if not reduced:
         def identity(vec: Sequence[Fraction]) -> Vec:
             return [linalg._exact(c) for c in vec]

@@ -8,6 +8,10 @@ Membership tests against the ideal are exact via normal forms, so within
 a slice the answers are exact; what a slice cannot do is certify a
 statement about all degrees, and the regularity verdict says so
 explicitly instead of guessing.
+
+A slice's fields are ``linalg`` sparse rows: a column map
+``{(direction, exponent): column}`` numbers the coordinates, and only the
+nonzero ones are stored.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from typing import Literal, Optional, Sequence
 
 from . import linalg
 from .ideals import Ideal
-from .poly import ContextMismatch, Polynomial, VarContext, grevlex_key
+from .poly import ContextMismatch, Polynomial, VarContext, _from_clean, grevlex_key
 from .tensors import GradeError, MultivectorField
 
 
@@ -60,32 +64,31 @@ def maps_into_ideal(field: MultivectorField, ideal: Ideal) -> bool:
 
 
 def _vector_to_field(
-    context: VarContext, monos: Sequence[tuple[int, ...]], vec: Sequence[Fraction]
+    context: VarContext, monos: Sequence[tuple[int, ...]], vec: linalg.Sparse
 ) -> MultivectorField:
-    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(len(context))]
-    for k, value in enumerate(vec):
-        if value:
-            i, m = divmod(k, len(monos))
-            terms[i][monos[m]] = value
-    return MultivectorField(
-        context, 1, {(i,): Polynomial(context, t) for i, t in enumerate(terms) if t}
-    )
+    """The field whose coefficient of monos[m] * d/dx_i is vec[i * len(monos) + m]."""
+    terms: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for k, value in vec.items():
+        i, m = divmod(k, len(monos))
+        terms.setdefault(i, {})[monos[m]] = value
+    return MultivectorField(context, 1, {(i,): _from_clean(context, t) for i, t in terms.items()})
 
 
 def _field_to_vector(
-    field: MultivectorField, monos: Sequence[tuple[int, ...]]
-) -> Optional[list[Fraction]]:
-    index = {m: k for k, m in enumerate(monos)}
-    vec = [Fraction(0)] * (len(field.context) * len(monos))
+    field: MultivectorField, column: dict[tuple[int, tuple[int, ...]], int]
+) -> Optional[linalg.Sparse]:
+    """The field's coordinates under ``column`` ({(i, exponent): column}),
+    or ``None`` when one of its terms has no column."""
+    vec: linalg.Sparse = {}
     for (i,), coeff in field.components():
         for exp, value in coeff.terms():
-            if exp not in index:
+            if (i, exp) not in column:
                 return None
-            vec[i * len(monos) + index[exp]] = value
+            vec[column[i, exp]] = value
     return vec
 
 
-def _kernel(ideal: Ideal, columns: Sequence[Sequence[Polynomial]]) -> list[list[Fraction]]:
+def _kernel(ideal: Ideal, columns: Sequence[Sequence[Polynomial]]) -> list[linalg.Sparse]:
     """Weights w with sum_k w[k] * columns[k][s] in the ideal for every slot s.
 
     Normal forms are linear, so the conditions are: every coefficient of
@@ -93,16 +96,13 @@ def _kernel(ideal: Ideal, columns: Sequence[Sequence[Polynomial]]) -> list[list[
     monomial).  Row order does not matter, because the nullspace basis is
     read off the unique reduced row echelon form.
     """
-    rows: list[list[Fraction]] = []
-    row_of: dict[tuple[int, tuple[int, ...]], int] = {}
+    rows: dict[tuple[int, tuple[int, ...]], linalg.Sparse] = {}
     for k, column in enumerate(columns):
         for s, poly in enumerate(column):
             for exp, value in ideal.normal_form(poly).terms():
-                if (s, exp) not in row_of:
-                    row_of[s, exp] = len(rows)
-                    rows.append([Fraction(0)] * len(columns))
-                rows[row_of[s, exp]][k] += value
-    return linalg.nullspace(rows, len(columns))
+                rows.setdefault((s, exp), {})[k] = value
+    # an empty row list has no kind; one empty sparse row keeps the answer sparse
+    return linalg.nullspace(list(rows.values()) or [{}], len(columns))
 
 
 def der_I_basis(ideal: Ideal, degree_bound: int) -> list[MultivectorField]:
@@ -169,30 +169,31 @@ def is_regular_integral(
     d = degree_bound
     n = len(context)
     monos = monomials_up_to(context, d)
+    low = {(i, m): i * len(monos) + k for i in range(n) for k, m in enumerate(monos)}
     gen_degrees = [_field_coefficient_degree(f) for f in distribution]
 
     # The distribution slice: monomial multiples of the generators that stay
     # within coefficient degree d.
-    d_rows: list[list[Fraction]] = []
+    d_rows: list[linalg.Sparse] = []
     for field, gdeg in zip(distribution, gen_degrees):
         if field.is_zero:
             continue
         for mono in monomials_up_to(context, max(d - gdeg, 0)):
             scaled = field.scale(Polynomial.monomial(context, mono, Fraction(1)))
-            vec = _field_to_vector(scaled, monos)
+            vec = _field_to_vector(scaled, low)
             if vec is not None:
                 d_rows.append(vec)
     d_basis, _ = linalg.rref(d_rows)
 
-    # Within the span, select the subspace with every coefficient in the ideal.
-    fields = [_vector_to_field(context, monos, vec) for vec in d_basis]
-    columns = [[field.coefficient((i,)) for i in range(n)] for field in fields]
-    zero_part = linalg.matmul(_kernel(ideal, columns), d_basis)
-
     # Ideal multiples, generated with headroom then cut back to the slice.
+    # Monomials of degree > d (those past monos, which ascends in grevlex)
+    # take the first columns; the slice's follow.
     slack = max(d, 2)
-    big_monos = monomials_up_to(context, d + slack)
-    id_rows: list[list[Fraction]] = []
+    high = monomials_up_to(context, d + slack)[len(monos):]
+    big = {(i, m): i * len(high) + k for i in range(n) for k, m in enumerate(high)}
+    cut = len(big)
+    big.update({key: cut + col for key, col in low.items()})
+    id_rows: list[linalg.Sparse] = []
     for gb_elem in ideal.groebner_basis():
         for field, gdeg in zip(distribution, gen_degrees):
             if field.is_zero:
@@ -202,26 +203,23 @@ def is_regular_integral(
                 scaled = field.scale(
                     Polynomial.monomial(context, mono, Fraction(1)) * gb_elem
                 )
-                vec = _field_to_vector(scaled, big_monos)
+                vec = _field_to_vector(scaled, big)
                 if vec is not None:
                     id_rows.append(vec)
-    # Intersect with the slice.  Both monomial lists ascend in grevlex, so
-    # monos is the degree <= d prefix of big_monos.  With the coordinates of
-    # degree > d ordered first, the RREF rows pivoting past them vanish there
-    # and span span ∩ {high = 0} (any other row's weight in such a vector is
-    # the vector's entry at that row's pivot, i.e. 0).  Cut back to the low
-    # coordinates they are in RREF, so they are the slice's unique RREF.
-    size, low = len(big_monos), len(monos)
-    high_cols = [i * size + k for i in range(n) for k in range(low, size)]
-    low_cols = [i * size + k for i in range(n) for k in range(low)]
-    order = high_cols + low_cols
-    cut = len(high_cols)
-    id_reduced, id_big_pivots = linalg.rref([[vec[c] for c in order] for vec in id_rows])
-    id_basis = [row[cut:] for row, p in zip(id_reduced, id_big_pivots) if p >= cut]
+    # Intersect with the slice.  With the coordinates of degree > d first,
+    # the RREF rows pivoting past them vanish there and span
+    # span ∩ {high = 0} (any other row's weight in such a vector is the
+    # vector's entry at that row's pivot, i.e. 0).  Shifted back to the
+    # slice's columns they are in RREF, so they are the slice's unique RREF.
+    id_reduced, id_big_pivots = linalg.rref(id_rows)
+    id_basis = [{c - cut: x for c, x in row.items()} for row in id_reduced if min(row) >= cut]
     id_pivots = [p - cut for p in id_big_pivots if p >= cut]
 
-    for vec in zero_part:
-        if any(linalg.residue(vec, id_basis, id_pivots)):
-            witness = _vector_to_field(context, monos, vec)
-            return RegularityResult("not_regular", witness, d)
+    # Within the span, the combinations with every coefficient in the ideal.
+    fields = [_vector_to_field(context, monos, vec) for vec in d_basis]
+    columns = [[field.coefficient((i,)) for i in range(n)] for field in fields]
+    for weights in _kernel(ideal, columns):
+        combo = sum((fields[t] * w for t, w in weights.items()), MultivectorField.zero(context, 1))
+        if linalg.residue(_field_to_vector(combo, low), id_basis, id_pivots):
+            return RegularityResult("not_regular", combo, d)
     return RegularityResult("inconclusive", None, d)

@@ -54,6 +54,28 @@ def test_known_products():
     assert X ** 0 == Polynomial.constant(CTX, 1)
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    products = 0
+    multiply = Polynomial.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return multiply(a, b)
+
+    p = X + 2 * Y - 1
+    for n in range(1, 18):
+        expected = p
+        for _ in range(n - 1):
+            expected = expected * p
+        products = 0
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        power = p ** n
+        monkeypatch.setattr(Polynomial, "__mul__", multiply)
+        assert products == n.bit_length() - 1 + bin(n).count("1")
+        assert power == expected
+
+
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         X ** -1
