@@ -1,19 +1,27 @@
 """Polynomial ideals with cached reduced Gröbner bases.
 
-Buchberger's algorithm with the Gebauer–Möller pair update and sugar
-selection.  Leading monomials are computed once and kept beside the basis.
-When an element joins the basis, the update (Becker–Weispfenning's form)
-queues only the new pairs that no other new pair's lcm divides, one per
-group of equal lcms, drops the new pairs with coprime leading monomials,
-and drops each old pair whose lcm the new lead divides unless a side pair
-has the same lcm.  Pending pairs wait in one heap, treated in ascending
-``(sugar, key(lcm), i, j)`` order: a generator's sugar is its total degree,
-a pair's is the larger of its two sides' sugars raised to the lcm, and a
-new element inherits its pair's.  One pass in ascending lead order keeps a
-minimal basis, and each survivor is tail-reduced against the others.  The
-result is monic and inter-reduced, so it is the unique reduced Gröbner basis
-for the ideal and the chosen monomial order, which makes ``normal_form``
-canonical and ``contains`` decidable.
+Completion is signature-based, in Roune and Stillman's form (2012,
+"Practical Gröbner basis computation").  Each basis element g carries a
+signature t*e_i: g is a combination of the generators whose largest module
+term is t*f_i.  Signatures compare in the Schreyer order, by
+``(key(t + lm(f_i)), i)``, and each element keeps its ratio
+``rho = t + lm(f_i) - lm(g)`` beside its lead, so the multiple ``x^u * g``
+has the signature ``(key(u + lm(g) + rho), i)``.  One heap holds the
+candidate signatures, the e_i of the generators and the larger side of each
+S-pair, and each is treated once, in ascending order.  A signature is
+skipped when a known syzygy signature with the same index divides it: one
+that reduced to zero, or the Koszul syzygy of a pair, which covers the
+pairs with coprime leads.  Otherwise its rewriter (of the elements whose
+signature divides it, the one whose multiple has the smallest lead, the
+latest on ties) is multiplied up and reduced regularly, only by multiples of
+smaller signature.  A multiple whose lead no element reduces regularly, and
+a remainder whose lead an element with the same index and ratio divides,
+are singular and add nothing.  These criteria see the syzygies that make
+most S-pairs reduce to zero, which no lcm test can.  One pass in ascending
+lead order keeps a minimal basis, and each survivor is tail-reduced against
+the others.  The result is monic and inter-reduced, so it is the unique
+reduced Gröbner basis for the ideal and the chosen monomial order, which
+makes ``normal_form`` canonical and ``contains`` decidable.
 
 Inputs and outputs are exact ``Fraction`` polynomials, but division and
 S-polynomials run fraction-free on the primitive integer forms that each
@@ -58,26 +66,32 @@ def _monic(p: Polynomial, key) -> Polynomial:
     return p * (Fraction(1) / coeff)
 
 
-def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key) -> Polynomial:
+def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key, *, signature=None) -> Polynomial:
     """Full remainder of ``p`` under multivariate division by ``basis``.
 
     Every remainder term is reduced, so the result has no term divisible by
-    any basis leading monomial.  Deterministic: the first divisor in basis
-    order wins at each step.
+    the leading monomial of an admitted divisor.  Deterministic: the first
+    admitted divisor in basis order wins at each step.  Without
+    ``signature`` every divisor is admitted.  With ``signature=(ratios,
+    bound)``, ``ratios[k] = (rho, i)`` describes ``basis[k]``: the multiple
+    ``x^(a - lead) * basis[k]`` that reduces the term ``x^a`` has the
+    signature ``(key(a + rho), i)``, and the divisor is admitted only when
+    that signature is strictly below ``bound`` (a regular reduction).
 
     The division runs on primitive integer forms: the exact work is always
     ``scale * work``.  Each step multiplies the work by ``lc_g / d`` and
     subtracts ``(c / d) * x^shift * g_int`` (``d = gcd(c, lc_g)``), which is
     the exact step up to that nonzero factor, so every step selects the
     same term and divisor as exact division would.  When the scale changed,
-    the content of the work moves into the scale.  A term that no lead
-    divides leaves the work exactly, as ``c * scale``.
+    the content of the work moves into the scale.  A term that no admitted
+    divisor reduces leaves the work exactly, as ``c * scale``.
     """
+    ratios, bound = signature if signature is not None else ([None] * len(basis), None)
     divisors = []
-    for g in basis:
+    for g, ratio in zip(basis, ratios):
         g_exp, _ = g.leading_term(key)
         g_ints, _ = g._primitive()
-        divisors.append((g_exp, g_ints[g_exp], g_ints))
+        divisors.append((g_exp, g_ints[g_exp], g_ints, ratio))
     ints, scale = p._primitive()
     work = dict(ints)
     # Each exponent's order key is computed once, when it enters the work.
@@ -93,8 +107,11 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key) -> Poly
         c = work.get(exponent)
         if c is None:
             continue
-        for g_exp, lc, g_ints in divisors:
-            if all(map(le, g_exp, exponent)):  # _divides, inlined in the hot loop
+        for g_exp, lc, g_ints, ratio in divisors:
+            # _divides, inlined in the hot loop, then the signature guard.
+            if all(map(le, g_exp, exponent)) and (
+                ratio is None or (key(tuple(map(add, exponent, ratio[0]))), ratio[1]) < bound
+            ):
                 d = gcd(c, lc) if lc > 0 else -gcd(c, lc)
                 m, q = lc // d, c // d
                 if m != 1:
@@ -148,46 +165,92 @@ def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
     return _from_clean(f.context, {e: c * scale for e, c in ints.items()}, (ints, scale))
 
 
+def _add_minimal(monomials: list[Exponent], t: Exponent) -> None:
+    """Add ``t`` to a list of exponents kept minimal under divisibility."""
+    if not any(_divides(s, t) for s in monomials):
+        monomials[:] = [s for s in monomials if not _divides(t, s)]
+        monomials.append(t)
+
+
 def buchberger(generators: Sequence[Polynomial], key) -> list[Polynomial]:
     """The reduced Gröbner basis of the ideal spanned by ``generators``."""
-    basis = [_monic(g, key) for g in generators if not g.is_zero]
-    leads = [g.leading_term(key)[0] for g in basis]
-    sugars = [g.total_degree() for g in basis]
-    pairs: list[tuple] = []  # heap of (sugar, key(lcm), i, j, lcm), i < j
+    gens = [g for g in generators if not g.is_zero]
+    gen_leads = [g.leading_term(key)[0] for g in gens]
+    basis: list[Polynomial] = []
+    leads: list[Exponent] = []
+    multipliers: list[Exponent] = []  # t of each element's signature t*e_i
+    ratios: list[tuple[Exponent, int]] = []  # (t + lm(f_i) - lead, i) of each element
+    syzygies: list[list[Exponent]] = [[] for _ in gens]  # per index i, the t of known syzygies t*e_i
 
-    def update(h: int) -> None:
-        """Gebauer–Möller: queue the useful pairs (k, h), drop old pairs h covers."""
-        lead_h, sugar_h = leads[h], sugars[h]
-        degree_h = sum(lead_h)
-        lcms = [_exp_lcm(lead, lead_h) for lead in leads[:h]]
-        coprime = [sum(lcm) == sum(lead) + degree_h for lead, lcm in zip(leads, lcms)]
-        # Criterion M: drop (k, h) when a pending or kept new pair's lcm
-        # divides its lcm; of equal lcms the last survives.  Coprime pairs
-        # stay until all are seen, so that they still drop others.
-        alive = [True] * h
-        for k, lcm in enumerate(lcms):
-            if not coprime[k]:
-                alive[k] = not any(alive[m] and m != k and _divides(lcms[m], lcm) for m in range(h))
-        # Drop (i, j) when lead(h) divides its lcm, unless (i, h) or (j, h)
-        # has the same lcm.
-        pairs[:] = [p for p in pairs if not _divides(lead_h, p[4]) or p[4] in (lcms[p[2]], lcms[p[3]])]
-        heapq.heapify(pairs)
-        for k, lcm in enumerate(lcms):
-            if alive[k] and not coprime[k]:
-                degree = sum(lcm)
-                sugar = max(sugars[k] + degree - sum(leads[k]), sugar_h + degree - degree_h)
-                heapq.heappush(pairs, (sugar, key(lcm), k, h, lcm))
+    def signature(m: Exponent, k: int) -> tuple:
+        """``(key, i)`` of the signature of the multiple of element k with lead m."""
+        rho, i = ratios[k]
+        return key(tuple(map(add, m, rho))), i
 
-    for h in range(len(basis)):
-        update(h)
-    while pairs:
-        sugar, _, i, j, _ = heapq.heappop(pairs)
-        remainder = normal_form_against(s_polynomial(basis[i], basis[j], key), basis, key)
-        if not remainder.is_zero:
-            basis.append(_monic(remainder, key))
-            leads.append(basis[-1].leading_term(key)[0])
-            sugars.append(sugar)
-            update(len(basis) - 1)
+    def larger_side(m: Exponent, k: int, h: int) -> tuple | None:
+        """The larger signature of the multiples of elements k and h with lead m,
+        as a queue entry, or None when the two are equal."""
+        a, b = signature(m, k), signature(m, h)
+        if a == b:
+            return None
+        g = k if a > b else h
+        return (*max(a, b), tuple(map(add, multipliers[g], map(sub, m, leads[g]))))
+
+    def known_syzygy(i: int, t: Exponent) -> bool:
+        return any(_divides(s, t) for s in syzygies[i])
+
+    # Queue entries are (key, i, t) for t*e_i, so they pop in the Schreyer order.
+    queue = [(key(lead), i, (0,) * len(lead)) for i, lead in enumerate(gen_leads)]
+    heapq.heapify(queue)
+    last = None
+    while queue:
+        entry = heapq.heappop(queue)
+        if entry == last:
+            continue
+        last = entry
+        _, i, t = entry
+        bound = entry[:2]
+        if known_syzygy(i, t):
+            continue
+        mono = tuple(map(add, t, gen_leads[i]))
+        # The rewriter: of the elements whose signature divides t*e_i, the one
+        # whose multiple has the smallest lead, the latest on ties.
+        rewriters = [
+            (tuple(map(sub, mono, rho)), k)
+            for k, (rho, j) in enumerate(ratios)
+            if j == i and _divides(multipliers[k], t)
+        ]
+        if rewriters:
+            lead, k = min(rewriters, key=lambda r: (key(r[0]), -r[1]))
+            # A lead that no element reduces regularly makes t*e_i singular.
+            if not any(_divides(leads[h], lead) and signature(lead, h) < bound for h in range(len(basis))):
+                continue
+            p = Polynomial.monomial(basis[k].context, tuple(map(sub, t, multipliers[k]))) * basis[k]
+        else:
+            p = gens[i]
+        remainder = normal_form_against(p, basis, key, signature=(ratios, bound))
+        if remainder.is_zero:
+            _add_minimal(syzygies[i], t)
+            continue
+        lead = remainder.leading_term(key)[0]
+        ratio = (tuple(map(sub, mono, lead)), i)
+        # Singular: an element with the same ratio and index has a lead dividing this one.
+        if any(r == ratio and _divides(leads[h], lead) for h, r in enumerate(ratios)):
+            continue
+        new = len(basis)
+        basis.append(_monic(remainder, key))
+        leads.append(lead)
+        multipliers.append(t)
+        ratios.append(ratio)
+        for k in range(new):
+            # The larger side of the Koszul syzygy lead_k * new - lead * k is a
+            # syzygy; the larger side of the S-pair is queued unless a known one divides it.
+            side = larger_side(tuple(map(add, lead, leads[k])), new, k)
+            if side:
+                _add_minimal(syzygies[side[1]], side[2])
+            side = larger_side(_exp_lcm(lead, leads[k]), new, k)
+            if side and not known_syzygy(side[1], side[2]):
+                heapq.heappush(queue, side)
     return _reduce_basis(basis, key)
 
 

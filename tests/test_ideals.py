@@ -1,8 +1,10 @@
+import hashlib
 import inspect
 import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from operator import le
 
 import pytest
 
@@ -236,28 +238,125 @@ def test_pair_update_matches_reference_on_binomial_ideals(order):
         assert [str(g) for g in Ideal(ctx, gens, order).groebner_basis()] == [str(g) for g in reference]
 
 
-def test_pair_update_reduces_fewer_pairs(monkeypatch):
-    """On katsura-3 lex the pair update reduces fewer S-polynomials than the
-    reference's coprime and chain criteria."""
-    ctx, texts = KATSURA3
+KATSURA4 = VarContext(["u0", "u1", "u2", "u3", "u4"]), [
+    "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 - u0",
+    "2*u0*u1 + 2*u1*u2 + 2*u2*u3 + 2*u3*u4 - u1",
+    "u1^2 + 2*u0*u2 + 2*u1*u3 + 2*u2*u4 - u2",
+    "2*u1*u2 + 2*u0*u3 + 2*u1*u4 - u3",
+    "u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 - 1",
+]
+
+
+def _reductions(monkeypatch, system, order):
+    """The remainders that ``buchberger`` and ``ref_buchberger`` compute, one
+    flag per reduction: whether it was zero.  The bases must agree."""
+    ctx, texts = system
     gens = [pp(t, ctx) for t in texts]
-    key = MONOMIAL_ORDERS["lex"]
+    key = MONOMIAL_ORDERS[order]
 
     def count_calls(module, name, caller):
-        calls = []
+        zeros = []
         function = getattr(module, name)
 
-        def counted(*args):
-            calls.append(sys._getframe(1).f_code.co_name == caller)
-            return function(*args)
+        def counted(*args, **kwargs):
+            remainder = function(*args, **kwargs)
+            if sys._getframe(1).f_code.co_name == caller:
+                zeros.append(remainder.is_zero)
+            return remainder
 
         monkeypatch.setattr(module, name, counted)
-        return calls
+        return zeros
 
     ours = count_calls(ideals, "normal_form_against", "buchberger")
     theirs = count_calls(support, "ref_normal_form_against", "ref_buchberger")
     assert [str(g) for g in ideals.buchberger(gens, key)] == [str(g) for g in support.ref_buchberger(gens, key)]
+    return ours, theirs
+
+
+def test_signatures_reduce_fewer_pairs(monkeypatch):
+    """The syzygy and singular criteria reduce fewer S-pairs than the
+    reference's coprime and chain criteria, and fewer of them reach zero."""
+    ours, theirs = _reductions(monkeypatch, KATSURA3, "lex")
+    assert 0 < len(ours) < len(theirs)
+    ours, theirs = _reductions(monkeypatch, KATSURA4, "grevlex")
     assert 0 < sum(ours) < sum(theirs)
+
+
+# A small positive-dimensional lex ideal whose completion takes minutes when
+# the pairs are ordered by heuristics such as sugar.  The digest is of the
+# reduced basis, one element per line, checked against
+# ``sympy.groebner(..., order="lex")``, which takes several seconds.
+LEX_STALL = VarContext(["x0", "x1", "x2"]), [
+    "-x0^3*x1^2*x2^3 + 1/3*x0^3*x2 - 1/3*x0^2*x2",
+    "3/2*x0^3*x1^2*x2 - 2*x0^2*x2 - 3*x1*x2^2",
+    "2*x0^2*x1^3*x2 + 4/3*x1^3*x2 + 2/3*x0",
+]
+LEX_STALL_DIGEST = "38f2b4ea9227c4fec69c9f6fe4c78f8cc1b4343b76783f59526ca620ffaa7b4a"
+
+
+def test_lex_stall_case_completes():
+    ctx, texts = LEX_STALL
+    basis = gb_strs(ideal_of(*texts, ctx=ctx, order="lex"))
+    assert len(basis) == 3
+    assert basis[0].startswith("x1*x2^22 + 224/117*x1*x2^20")
+    assert hashlib.sha256("\n".join(basis).encode()).hexdigest() == LEX_STALL_DIGEST
+
+
+def _random_quadrics(rng, ctx, count):
+    """Dense quadrics with integer coefficients in [-5, 5], as the benchmark draws them."""
+    n = len(ctx)
+    exps = [tuple((j == a) + (j == b) for j in range(n)) for a in range(n) for b in range(a, n)]
+    exps += [tuple(int(j == a) for j in range(n)) for a in range(n)] + [(0,) * n]
+    return [Polynomial(ctx, {e: rng.randint(-5, 5) for e in exps}) for _ in range(count)]
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_basis_certificate_on_random_ideals(order):
+    """Checks that need no second implementation: the basis is monic and
+    inter-reduced, every S-polynomial of two of its elements reduces to zero
+    (Buchberger's criterion), and every generator reduces to zero."""
+    rng = random.Random(59)
+    key = MONOMIAL_ORDERS[order]
+    cases = [rand_ideal_case(rng) for _ in range(20)]
+    for _ in range(10):
+        ideal = support.rand_binomial_ideal(rng, support.XYZ, order)
+        cases.append((ideal.context, ideal.generators))
+    for nvars, count in [(3, 2), (3, 3), (4, 4)]:
+        ctx = VarContext([f"x{i}" for i in range(nvars)])
+        cases.append((ctx, _random_quadrics(rng, ctx, count)))
+    for ctx, gens in cases:
+        basis = Ideal(ctx, gens, order).groebner_basis()
+        leads = [g.leading_term(key) for g in basis]
+        assert all(c == 1 for _, c in leads)
+        for g, (lead, _) in zip(basis, leads):
+            others = [h for h in leads if h[0] != lead]
+            assert not any(all(map(le, h, e)) for h, _ in others for e, _ in g.terms())
+        for k, f in enumerate(basis):
+            for g in basis[k + 1 :]:
+                assert normal_form_against(s_polynomial(f, g, key), basis, key).is_zero
+        assert all(normal_form_against(g, basis, key).is_zero for g in gens)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_signature_guard_bounds(order):
+    """A bound below every divisor's multiple admits none of them; a bound
+    above all of them gives the unguarded remainder."""
+    rng = random.Random(61)
+    key = MONOMIAL_ORDERS[order]
+    reduced = 0
+    for _ in range(40):
+        ctx = VarContext([f"x{i}" for i in range(rng.randint(1, 3))])
+        n = len(ctx)
+        divisors = [support.rand_nonzero_poly(rng, ctx, degree=2, terms=2) for _ in range(rng.randint(1, 3))]
+        ratios = [(support.rand_exponent(rng, n, 2), rng.randrange(3)) for _ in divisors]
+        p = support.rand_poly(rng, ctx, degree=4, terms=4)
+        low = (key((0,) * n), -1)
+        high = (key((20,) * n), 3)
+        assert normal_form_against(p, divisors, key, signature=(ratios, low)) == p
+        expected = normal_form_against(p, divisors, key)
+        assert normal_form_against(p, divisors, key, signature=(ratios, high)) == expected
+        reduced += expected != p
+    assert reduced > 0
 
 
 def _big_fraction(rng):
