@@ -43,6 +43,7 @@ class _Runner:
         self._poisson: Optional[PoissonStructure] = None
         self._ideals: dict[str, Ideal] = {}
         self._algebras: dict[str, liealg.LieAlgebraFD] = {}
+        self._leaves: dict[tuple[str, Optional[connection.Point]], connection.LeafContext] = {}
 
     # -- shared lookups ----------------------------------------------------
 
@@ -88,12 +89,15 @@ class _Runner:
         return self._algebras[name]
 
     def leaf(self, ideal_name: str, point) -> connection.LeafContext:
-        try:
-            return connection.LeafContext(
-                self.poisson(), self.ideal(ideal_name), base_point=point
-            )
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from None
+        key = (ideal_name, point)
+        if key not in self._leaves:
+            try:
+                self._leaves[key] = connection.LeafContext(
+                    self.poisson(), self.ideal(ideal_name), base_point=point
+                )
+            except ValueError as exc:
+                raise ValidationFailure(str(exc)) from None
+        return self._leaves[key]
 
     # -- rendering helpers -------------------------------------------------
 

@@ -459,21 +459,23 @@ def homology(g: LieAlgebraFD) -> list[HomologyGrade]:
     """Exact homology of the boundary complex, grades 0..dim.
 
     Every matrix and vector here is sparse: the image of the boundary into
-    grade m is spanned by the columns of ``delta_matrix(g, m + 1)``."""
+    grade m is spanned by the columns of ``delta_matrix(g, m + 1)``.  It is
+    kept as ``linalg``'s integer pivot map, and each kernel vector is
+    cleared against that map."""
     out = []
     dm = delta_matrix(g, 0)  # delta_matrix(g, m), carried over from grade m - 1
     for m in range(g.dim + 1):
         blades = g.blades(m)
         kernel = linalg.nullspace(dm, len(blades))
         next_matrix = delta_matrix(g, m + 1) if m + 1 <= g.dim else []
-        reduced, pivots = linalg.rref(_transpose(next_matrix, len(g.blades(m + 1))))
+        image = linalg._echelon(_transpose(next_matrix, len(g.blades(m + 1))))
         reps: list[ChainElement] = []
-        rep_span: dict[int, Sparse] = {}  # echelon of the residues kept so far
+        rep_span: dict[int, dict[int, int]] = {}  # echelon of the residues kept so far
         for vec in kernel:
-            res = linalg.residue(vec, reduced, pivots)
+            res = linalg._residue(vec, image)
             if len(linalg._echelon([res], rep_span)) > len(reps):
                 reps.append(ChainElement(g, m, {blades[j]: c for j, c in res.items()}))
-        rank_image = len(reduced)
+        rank_image = len(image)
         dim_h = len(kernel) - rank_image
         out.append(HomologyGrade(m, dim_h, reps))
         dm = next_matrix

@@ -1,17 +1,21 @@
 """Exact linear algebra over the rationals.
 
-One sparse elimination kernel, ``_echelon``, does all the row reduction.
-Every input row, dense or sparse, is read once (``_row``) into a dict of
-its nonzero cells, ``{column: Fraction}``.  The kernel maps each pivot
-column to its pivot row and takes the rows one at a time: a row is reduced
-by the pivot rows whose columns it touches (``_reduce``, the step that
-``residue`` and ``in_span`` share), scaled so that its leftmost cell is 1,
-and then cleared out of the earlier pivot rows.  Given a pivot map it built
-before, ``_echelon`` extends it in place, so a span can grow one row at a
-time.  Work follows the nonzeros that elimination touches, so the
-(co)boundary matrices of ``liealg``, which are almost all zeros, cost
-little.  Fill-in stays inside the connected blocks of a matrix's row/column
-graph, so no explicit block splitting is needed.
+One sparse, fraction-free elimination kernel, ``_echelon``, does all the
+row reduction.  Every input row, dense or sparse, is read once (``_row``)
+into a primitive integer row ``{column: int}``: denominators cleared,
+content taken out.  The kernel maps each pivot column to its pivot row,
+kept primitive with a positive pivot cell, so the exact reduced row is
+``row / row[pivot]``.  A new row is reduced by the pivot rows whose columns
+it touches, then cleared out of the earlier pivot rows; the scan ``for
+other in reduced.values()`` visits every pivot row, also in blocks of the
+row/column graph that the new row does not touch.  Each clearing is one
+integer pseudo-step, ``_clear``: ``a * row - b * pivot_row`` with ``a = p /
+g``, ``b = c / g`` and ``g = gcd(c, p)`` for the cells ``c`` and ``p`` in
+the pivot column, after which the content comes out, as in ``ideals``.
+``_echelon``, ``residue`` and ``in_span`` share it through ``_reduce``, and
+``residue`` tracks the rational scale.  Given a pivot map it built before,
+``_echelon`` extends it in place.  ``Fraction`` cells appear only in the
+answers (``Fraction(v, p)``); ``rank`` converts nothing.
 
 The reduced row echelon form of a matrix is unique, so results do not
 depend on the order of elimination: the reduced rows and pivots, the
@@ -33,6 +37,7 @@ exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Collection, Iterable, Optional, Sequence, Union
 
 Vec = list[Fraction]
@@ -100,53 +105,105 @@ def _width(rows: Sequence[Sequence[Fraction]], expected: Optional[int] = None) -
     return width
 
 
-def _row(given: Row) -> Sparse:
-    """``given`` read into the sparse form, with ``Fraction`` cells."""
+def _cells(given: Row) -> dict[int, int | Fraction]:
+    """The nonzero cells of ``given``, by column, after checking them."""
     sparse = isinstance(given, dict)
     _check_cells(given.values() if sparse else given)
-    cells = given.items() if sparse else enumerate(given)
-    return {j: x if type(x) is Fraction else Fraction(x) for j, x in cells if x}
+    return {j: x for j, x in (given.items() if sparse else enumerate(given)) if x}
 
 
-def _subtract(target: Sparse, factor: Fraction, row: Sparse) -> None:
-    """``target -= factor * row`` on nonzero cells, dropping cells that cancel."""
-    for j, x in row.items():
-        value = target.get(j, _ZERO) - factor * x
-        if value:
-            target[j] = value
+def _row(given: Row) -> tuple[dict[int, int], int, int]:
+    """``(ints, num, den)`` with ``given == ints * num / den`` and ``ints``
+    primitive (empty for a zero row); ``int`` cells stay ``int``."""
+    cells = _cells(given)
+    den = lcm(*(x.denominator for x in cells.values()))
+    ints = {j: x.numerator * (den // x.denominator) for j, x in cells.items()}
+    content = gcd(*ints.values())
+    if content > 1:
+        for j, v in ints.items():
+            ints[j] = v // content
+    return ints, content or 1, den
+
+
+def _clear(target: dict[int, int], col: int, pivot_row: dict[int, int]) -> tuple[int, int]:
+    """Cancel the primitive ``target`` in place at ``col``, the pivot column
+    of ``pivot_row``, by the pseudo-step of the module docstring; ``target``
+    stays primitive.  Returns ``(a, content)``: modulo ``pivot_row``, the
+    old ``target`` is ``content / a`` times the new one."""
+    c, p = target[col], pivot_row[col]
+    g = gcd(c, p)
+    a, b = p // g, c // g
+    if a != 1:
+        for j, v in target.items():
+            target[j] = a * v
+    for j, x in pivot_row.items():
+        v = target.get(j, 0) - b * x
+        if v:
+            target[j] = v
         else:
             del target[j]
+    content = gcd(*target.values())
+    if content > 1:
+        for j, v in target.items():
+            target[j] = v // content
+    return a, content
 
 
-def _reduce(row: Sparse, reduced: dict[int, Sparse]) -> Sparse:
-    """Clear ``row`` in place at the pivot columns of ``reduced``; return it."""
+def _reduce(row: dict[int, int], reduced: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """Clear ``row`` in place at the pivot columns of ``reduced``.
+
+    Returns ``(num, den)``: modulo the span, the old ``row`` is ``num / den``
+    times the new one.
+    """
+    num = den = 1
     # pivot rows vanish at each other's pivots, so one pass clears them all
     for col in [c for c in row if c in reduced]:
-        _subtract(row, row[col], reduced[col])
-    return row
+        a, content = _clear(row, col, reduced[col])
+        num *= content
+        den *= a
+    return num, den
 
 
-def _echelon(rows: Iterable[Row], reduced: Optional[dict[int, Sparse]] = None) -> dict[int, Sparse]:
-    """Pivot column -> its fully reduced row, for the span of ``rows``.
+def _echelon(
+    rows: Iterable[Row], reduced: Optional[dict[int, dict[int, int]]] = None
+) -> dict[int, dict[int, int]]:
+    """Pivot column -> its pivot row, for the span of ``rows``.
 
+    Each pivot row is primitive with a positive pivot cell and vanishes at
+    every other pivot column; the exact reduced row is ``row / row[pivot]``.
     Given such a map as ``reduced``, the rows are added to it in place.
     """
     if reduced is None:
         reduced = {}
     for given in rows:
-        row = _reduce(_row(given), reduced)
+        row = _row(given)[0]
+        _reduce(row, reduced)
         if not row:
             continue
         lead = min(row)
-        if row[lead] != 1:
-            inv = 1 / row[lead]
-            row = {j: x * inv for j, x in row.items()}
+        if row[lead] < 0:
+            for j, v in row.items():
+                row[j] = -v
         for other in reduced.values():
-            factor = other.get(lead)
-            if factor:
-                _subtract(other, factor, row)
+            if lead in other:
+                _clear(other, lead, row)
         reduced[lead] = row
     return reduced
+
+
+def _residue(vec: Row, reduced: dict[int, dict[int, int]]) -> Sparse:
+    """The exact residue of ``vec`` modulo a pivot map, as ``Fraction`` cells."""
+    row, num, den = _row(vec)
+    scale_num, scale_den = _reduce(row, reduced)
+    num *= scale_num
+    den *= scale_den
+    return {j: Fraction(v * num, den) for j, v in row.items()}
+
+
+def _exact_row(row: dict[int, int], pivot: int) -> Sparse:
+    """The exact reduced row of a pivot row: ``row / row[pivot]``."""
+    p = row[pivot]
+    return {j: Fraction(v, p) for j, v in row.items()}
 
 
 def _dense(row: Sparse, ncols: int) -> Vec:
@@ -173,9 +230,10 @@ def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
     ncols = _shape(rows)
     reduced = _echelon(rows)
     pivots = sorted(reduced)
+    exact = [_exact_row(reduced[c], c) for c in pivots]
     if ncols is None:
-        return [reduced[c] for c in pivots], pivots
-    return [_dense(reduced[c], ncols) for c in pivots], pivots
+        return exact, pivots
+    return [_dense(row, ncols) for row in exact], pivots
 
 
 def rank(rows: Sequence[Row]) -> int:
@@ -193,19 +251,19 @@ def residue(vec: Row, reduced: Sequence[Row], pivots: list[int]) -> Vec | Sparse
     if len(pivots) != len(reduced):
         raise ValueError(f"{len(pivots)} pivots for {len(reduced)} reduced rows")
     sparse = _fit(vec, reduced)
-    out = _row(vec)
+    cells = _cells(vec)
     rows = dict(zip(pivots, reduced))
-    if not sparse:
-        # clearing never adds a pivot column: read only the rows it uses
-        rows = {c: _row(rows[c]) for c in out if c in rows}
-    _reduce(out, rows)
+    # clearing never adds a pivot column: read only the rows it uses
+    out = _residue(cells, {c: _row(rows[c])[0] for c in cells if c in rows})
     return out if sparse else _dense(out, len(vec))
 
 
 def in_span(rows: Sequence[Row], vec: Row) -> bool:
     _shape(rows)
     _fit(vec, rows)
-    return not _reduce(_row(vec), _echelon(rows))
+    row = _row(vec)[0]
+    _reduce(row, _echelon(rows))
+    return not row
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[Vec] | list[Sparse]:
@@ -222,9 +280,10 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[Vec] | list[Sparse]:
     else:
         basis = {j: _dense({j: _ONE}, ncols) for j in free}
     for col, row in reduced.items():
+        p = row[col]
         for j, x in row.items():
             if j != col:
-                basis[j][col] = -x
+                basis[j][col] = Fraction(-x, p)
     return list(basis.values())
 
 
@@ -246,11 +305,11 @@ def solve(rows: Sequence[Row], rhs: Row) -> Vec | Sparse | None:
         if len(rhs) != len(rows):
             raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
         aug = _width(rows)
-    b = _row(rhs)
-    reduced = _echelon({**_row(row), aug: b[i]} if i in b else row for i, row in enumerate(rows))
+    b = _cells(rhs)
+    reduced = _echelon({**_cells(row), aug: b[i]} if i in b else row for i, row in enumerate(rows))
     if aug in reduced:
         return None
-    solution = {col: row[aug] for col, row in reduced.items() if aug in row}
+    solution = {col: Fraction(row[aug], row[col]) for col, row in reduced.items() if aug in row}
     return solution if sparse else _dense(solution, aug)
 
 
@@ -288,4 +347,4 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Mat | None:
     reduced = _echelon((*row, *unit) for row, unit in zip(rows, identity(n)))
     if any(c not in reduced for c in range(n)):
         return None
-    return [_dense(reduced[c], 2 * n)[n:] for c in range(n)]
+    return [_dense(_exact_row(reduced[c], c), 2 * n)[n:] for c in range(n)]

@@ -529,6 +529,33 @@ def permuted_sum(rng, max_dim):
     return LieAlgebraFD([g.labels[i] for i in order], table)
 
 
+def unimodular_twist(g, rng):
+    """``g`` in the basis b_i = sum_k M[i][k] e_k, for an integer M of
+    determinant +-1: M = S P U, where U adds each basis vector's successor to
+    it, P permutes and S flips signs (P and S from ``rng``).  The structure
+    constants of the twisted algebra are integers whose pivots in row
+    reduction are rarely +-1."""
+    n = g.dim
+    upper = [[Fraction(int(j in (i, i + 1))) for j in range(n)] for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    m = [[rng.choice([-1, 1]) * x for x in upper[k]] for k in order]
+    inv = linalg.invert(m)
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            old = [Fraction(0)] * n
+            for k in range(n):
+                for l in range(n):
+                    if m[i][k] and m[j][l]:
+                        for c, v in enumerate(g.bracket_basis(k, l)):
+                            old[c] += m[i][k] * m[j][l] * v
+            row.append(linalg.matvec(linalg.transpose(inv), old))
+        table.append(row)
+    return LieAlgebraFD([f"b{k + 1}" for k in range(n)], table)
+
+
 def strictly_upper_triangular(n):
     """The nilpotent algebra of strictly upper-triangular n x n matrices, basis
     E_ij (i < j) with [E_ij, E_kl] = [j = k] E_il - [l = i] E_kj."""

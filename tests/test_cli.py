@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import leafconn
+from leafconn import connection
 from leafconn.cli import main
 from leafconn.parse import parse_multivector
 from leafconn.poly import VarContext
@@ -160,6 +161,33 @@ def test_connection_queries(tmp_path):
     assert "[query 2: leaf-connection]" in text
     assert "representative = d/dx" in text
     assert "class_at_point = d/dx" in text
+
+
+def test_leaves_are_built_once_per_ideal_and_point(tmp_path, monkeypatch):
+    built = []
+
+    class CountingLeaf(connection.LeafContext):
+        def __init__(self, poisson, ideal, base_point=None):
+            built.append(base_point)
+            super().__init__(poisson, ideal, base_point=base_point)
+
+    monkeypatch.setattr(connection, "LeafContext", CountingLeaf)
+    spec = tmp_path / "leaves.spec"
+    spec.write_text(
+        "[variables]\nx, y\n\n[bivector]\nx ^ y = x\n\n"
+        "[ideal origin]\nx\ny\n\n[form a]\ndy\n\n[multivector s]\nd/dx\n\n"
+        "[query leaf-connection]\nideal = origin\nalpha = a\nsection = s\npoint = 0, 0\n\n"
+        "[query flat-sections]\nideal = origin\npoint = 0, 0\n\n"
+        "[query flat-sections]\nideal = origin\npoint = 0, 0\ngrade = 2\n\n"
+        "[query flat-sections]\nideal = origin\npoint = 1, 0\n\n"
+        "[query flat-sections]\nideal = origin\npoint = 1, 0\n\n"
+        "[query flat-sections]\nideal = origin\n"
+    )
+    code, report = run_to_file(spec, tmp_path)
+    assert code == 2
+    # a leaf that failed validation is not kept: each query raises afresh
+    assert report.decode().count("error = generator x does not vanish at (1, 0)\n") == 2
+    assert built == [(0, 0), (1, 0), (1, 0), None]
 
 
 def test_char_class_projection_option(tmp_path):

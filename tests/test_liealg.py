@@ -383,6 +383,21 @@ def test_sparse_path_matches_dense_parent_code(g):
             assert is_coboundary(w) == support.ref_is_coboundary(w)
 
 
+def test_homology_of_a_unimodular_twist_matches_dense_reference():
+    # sl2 + h3 + a1 in an integer basis of determinant +-1, as the spec_batch
+    # benchmark builds it: the boundary matrices have pivots other than +-1
+    g = direct_sum(direct_sum(sl2(), heisenberg3()), abelian_algebra(1))
+    g = support.unimodular_twist(g, random.Random(16))
+    assert any(abs(c) > 1 for i in range(g.dim) for j in range(g.dim) for c in g.bracket_basis(i, j))
+
+    def table(grades):
+        return [(h.grade, h.dimension, [r.components for r in h.representatives]) for h in grades]
+
+    grades = homology(g)
+    assert [h.dimension for h in grades] == [1, 3, 4, 4, 4, 4, 3, 1]
+    assert table(grades) == table(support.ref_homology(g))
+
+
 def test_strictly_upper_triangular_homology():
     # checks that do not come from leafconn: nilpotent algebras are
     # unimodular, so Poincare duality gives dim H_k = dim H_{6-k}; and

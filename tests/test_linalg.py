@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -122,6 +123,72 @@ def test_matches_dense_reference_on_random_matrices():
         inverse = linalg.invert(square)
         assert inverse == support.ref_invert(square)
         assert inverse is None or all(_all_fractions(row) for row in inverse)
+
+
+def _wide_cell(rng):
+    """A cell for the integer kernel: small, rational, or near 10**40."""
+    kind = rng.random()
+    if kind < 0.4:
+        return rng.choice([0, Fraction(0)])
+    if kind < 0.6:
+        return rng.choice([-3, -2, 2, 3, 5, 7])
+    if kind < 0.8:
+        return Fraction(rng.randint(-9, 9), rng.choice([2, 3, 4, 7, 9]))
+    big = 10**40 + rng.randint(-10**6, 10**6)
+    if rng.random() < 0.5:
+        return rng.choice([-1, 1]) * big
+    return Fraction(rng.choice([-1, 1]) * big, 10**20 + rng.randint(1, 10**6))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_kernel_matches_dense_oracles_on_wide_cells(seed):
+    rng = random.Random(1600 + seed)
+    sparsify = support.sparsify
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[_wide_cell(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            # a row that depends on the others, with a pivot far from +-1
+            m.append([3 * a - Fraction(5, 7) * b for a, b in zip(m[0], m[-1])])
+        for sparse in (False, True):
+            given = [sparsify(row) for row in m] if sparse else m
+            kind = sparsify if sparse else list
+            reduced, pivots = linalg.rref(given)
+            ref_reduced, ref_pivots = support.ref_rref(m)
+            assert (reduced, pivots) == ([kind(row) for row in ref_reduced], ref_pivots), trial
+            assert linalg.rank(given) == len(ref_pivots)
+            basis = linalg.nullspace(given, ncols)
+            assert basis == [kind(vec) for vec in support.ref_nullspace(m, ncols)]
+            vec = [_wide_cell(rng) for _ in range(ncols)]
+            res = linalg.residue(kind(vec), reduced, pivots)
+            assert res == kind(support.ref_residue(vec, ref_reduced, ref_pivots))
+            assert linalg.in_span(given, kind(vec)) == (not any(res.values() if sparse else res))
+            rhs = [_wide_cell(rng) for _ in range(len(m))]
+            solution = linalg.solve(given, kind(rhs))
+            expected = support.ref_solve(m, rhs)
+            assert solution == (None if expected is None else kind(expected))
+            answers = [*reduced, *basis, res, solution or kind([])]
+            if not sparse and len(m) >= ncols:
+                inverse = linalg.invert(m[:ncols])
+                assert inverse == support.ref_invert(m[:ncols])
+                answers += inverse or []
+            for answer in answers:
+                cells = answer.values() if isinstance(answer, dict) else answer
+                assert all(type(x) is Fraction for x in cells)
+        # the pivot map: primitive integer rows with positive pivots that
+        # vanish at the other pivots; row / row[pivot] is the reduced row
+        whole = linalg._echelon(m)
+        grown: dict = {}
+        for row in m:
+            linalg._echelon([row], grown)
+        assert grown == whole
+        assert sorted(whole) == ref_pivots
+        for col, row in whole.items():
+            assert all(type(v) is int for v in row.values())
+            assert row[col] > 0 and math.gcd(*row.values()) == 1
+            assert not any(c in row for c in whole if c != col)
+            exact = {j: Fraction(v, row[col]) for j, v in row.items()}
+            assert exact == sparsify(ref_reduced[ref_pivots.index(col)])
 
 
 def test_rank_and_nullity_match_sympy():
