@@ -29,7 +29,11 @@ the kernel and the action matrices), and homology, cohomology and the
 boundary and coboundary solvers hand them to ``linalg`` as they are, so no
 Lie matrix is ever densified.  Structure constants are also kept as the
 nonzero (index, coefficient) pairs of each basis bracket, which is what the
-kernel, ``bracket`` and the Jacobi check iterate.
+kernel, ``bracket`` and the Jacobi check iterate; an integral constant is
+kept there as an ``int``, so on an integral algebra the kernel computes in
+``int``.  ``delta_matrix`` and ``coboundary_matrix`` make each cell a
+``Fraction`` as they build their rows, and ``homology`` reads the kernel
+back into integer rows, building ``Fraction``s only for its answers.
 
 All homology/cohomology dimensions come from exact rational row
 reduction; representative choices are deterministic (leftmost pivots).
@@ -69,9 +73,12 @@ class LieAlgebraFD:
             for j in range(n):
                 if len(self._table[i][j]) != n:
                     raise ValueError("structure-constant table must be n x n x n")
-        # the nonzero (t, c) of each [x_i, x_j] = sum_t c x_t
-        self._nonzero: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = tuple(
-            tuple(tuple((t, c) for t, c in enumerate(cell) if c) for cell in row)
+        # the nonzero (t, c) of each [x_i, x_j] = sum_t c x_t, integral c as int
+        self._nonzero: tuple[tuple[tuple[tuple[int, int | Fraction], ...], ...], ...] = tuple(
+            tuple(
+                tuple((t, c.numerator if c.denominator == 1 else c) for t, c in enumerate(cell) if c)
+                for cell in row
+            )
             for row in self._table
         )
         self._validate()
@@ -384,7 +391,7 @@ class ChainElement:
         return f"ChainElement({self})"
 
 
-def _blade_boundary(g: LieAlgebraFD, blade: IndexTuple) -> dict[IndexTuple, Fraction]:
+def _blade_boundary(g: LieAlgebraFD, blade: IndexTuple) -> dict[IndexTuple, int | Fraction]:
     """The boundary of one basis blade, sum_{a<b} (-1)^(a+b) [x_a, x_b] ^ rest,
     keyed by the blades one grade lower, nonzero cells only; empty for
     grades 0 and 1."""
@@ -432,7 +439,7 @@ def delta_matrix(g: LieAlgebraFD, grade: int) -> list[Sparse]:
     rows: list[Sparse] = [{} for _ in position]
     for col, blade in enumerate(g.blades(grade)):
         for face, c in _blade_boundary(g, blade).items():
-            rows[position[face]][col] = c
+            rows[position[face]][col] = Fraction(c)
     return rows
 
 
@@ -460,8 +467,9 @@ def homology(g: LieAlgebraFD) -> list[HomologyGrade]:
 
     Every matrix and vector here is sparse: the image of the boundary into
     grade m is spanned by the columns of ``delta_matrix(g, m + 1)``.  It is
-    kept as ``linalg``'s integer pivot map, and each kernel vector is
-    cleared against that map."""
+    kept as ``linalg``'s integer pivot map.  Each kernel vector is read once
+    into a primitive integer row and cleared against that map; ``Fraction``
+    cells are built only for the ``dim_h`` residues kept."""
     out = []
     dm = delta_matrix(g, 0)  # delta_matrix(g, m), carried over from grade m - 1
     for m in range(g.dim + 1):
@@ -469,14 +477,16 @@ def homology(g: LieAlgebraFD) -> list[HomologyGrade]:
         kernel = linalg.nullspace(dm, len(blades))
         next_matrix = delta_matrix(g, m + 1) if m + 1 <= g.dim else []
         image = linalg._echelon(_transpose(next_matrix, len(g.blades(m + 1))))
+        dim_h = len(kernel) - len(image)
         reps: list[ChainElement] = []
         rep_span: dict[int, dict[int, int]] = {}  # echelon of the residues kept so far
         for vec in kernel:
-            res = linalg._residue(vec, image)
-            if len(linalg._echelon([res], rep_span)) > len(reps):
-                reps.append(ChainElement(g, m, {blades[j]: c for j, c in res.items()}))
-        rank_image = len(image)
-        dim_h = len(kernel) - rank_image
+            if len(reps) == dim_h:
+                break
+            row, num, den = linalg._residue(vec, image)
+            if len(linalg._echelon([row], rep_span)) > len(reps):
+                res = {blades[j]: Fraction(v * num, den) for j, v in row.items()}
+                reps.append(ChainElement(g, m, res))
         out.append(HomologyGrade(m, dim_h, reps))
         dm = next_matrix
     return out
@@ -662,7 +672,7 @@ def coboundary_matrix(g: LieAlgebraFD, S: LieModuleFD, grade: int) -> list[Spars
             col = position[face]
             for r in range(m):
                 block[r][col + r] = block[r].get(col + r, 0) + c
-        rows.extend({j: x for j, x in row.items() if x} for row in block)
+        rows.extend({j: Fraction(x) for j, x in row.items() if x} for row in block)
     return rows
 
 

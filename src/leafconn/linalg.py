@@ -3,7 +3,9 @@
 One sparse, fraction-free elimination kernel, ``_echelon``, does all the
 row reduction.  Every input row, dense or sparse, is read once (``_row``)
 into a primitive integer row ``{column: int}``: denominators cleared,
-content taken out.  The kernel maps each pivot column to its pivot row,
+content taken out; each cell, ``int`` or ``Fraction``, is read through
+``as_integer_ratio()``, and the row is scaled by the ``lcm`` of the
+denominators.  The kernel maps each pivot column to its pivot row,
 kept primitive with a positive pivot cell, so the exact reduced row is
 ``row / row[pivot]``.  A new row is reduced by the pivot rows whose columns
 it touches, then cleared out of the earlier pivot rows; the scan ``for
@@ -12,8 +14,10 @@ row/column graph that the new row does not touch.  Each clearing is one
 integer pseudo-step, ``_clear``: ``a * row - b * pivot_row`` with ``a = p /
 g``, ``b = c / g`` and ``g = gcd(c, p)`` for the cells ``c`` and ``p`` in
 the pivot column, after which the content comes out, as in ``ideals``.
-``_echelon``, ``residue`` and ``in_span`` share it through ``_reduce``, and
-``residue`` tracks the rational scale.  Given a pivot map it built before,
+``_echelon``, ``residue`` and ``in_span`` share it through ``_reduce``.
+``_residue`` returns a row cleared against a pivot map with its rational
+scale; ``residue`` and ``liealg.homology`` build ``Fraction`` cells from
+it.  Given a pivot map it built before,
 ``_echelon`` extends it in place.  ``Fraction`` cells appear only in the
 answers (``Fraction(v, p)``); ``rank`` converts nothing.
 
@@ -114,10 +118,12 @@ def _cells(given: Row) -> dict[int, int | Fraction]:
 
 def _row(given: Row) -> tuple[dict[int, int], int, int]:
     """``(ints, num, den)`` with ``given == ints * num / den`` and ``ints``
-    primitive (empty for a zero row); ``int`` cells stay ``int``."""
-    cells = _cells(given)
-    den = lcm(*(x.denominator for x in cells.values()))
-    ints = {j: x.numerator * (den // x.denominator) for j, x in cells.items()}
+    primitive (empty for a zero row)."""
+    sparse = isinstance(given, dict)
+    _check_cells(given.values() if sparse else given)
+    ratios = {j: x.as_integer_ratio() for j, x in (given.items() if sparse else enumerate(given)) if x}
+    den = lcm(*(d for _, d in ratios.values()))
+    ints = {j: n * (den // d) for j, (n, d) in ratios.items()}
     content = gcd(*ints.values())
     if content > 1:
         for j, v in ints.items():
@@ -191,13 +197,12 @@ def _echelon(
     return reduced
 
 
-def _residue(vec: Row, reduced: dict[int, dict[int, int]]) -> Sparse:
-    """The exact residue of ``vec`` modulo a pivot map, as ``Fraction`` cells."""
+def _residue(vec: Row, reduced: dict[int, dict[int, int]]) -> tuple[dict[int, int], int, int]:
+    """``(ints, num, den)``: the residue of ``vec`` modulo a pivot map is
+    ``ints * num / den``, with ``ints`` primitive."""
     row, num, den = _row(vec)
     scale_num, scale_den = _reduce(row, reduced)
-    num *= scale_num
-    den *= scale_den
-    return {j: Fraction(v * num, den) for j, v in row.items()}
+    return row, num * scale_num, den * scale_den
 
 
 def _exact_row(row: dict[int, int], pivot: int) -> Sparse:
@@ -254,7 +259,8 @@ def residue(vec: Row, reduced: Sequence[Row], pivots: list[int]) -> Vec | Sparse
     cells = _cells(vec)
     rows = dict(zip(pivots, reduced))
     # clearing never adds a pivot column: read only the rows it uses
-    out = _residue(cells, {c: _row(rows[c])[0] for c in cells if c in rows})
+    row, num, den = _residue(cells, {c: _row(rows[c])[0] for c in cells if c in rows})
+    out = {j: Fraction(v * num, den) for j, v in row.items()}
     return out if sparse else _dense(out, len(vec))
 
 

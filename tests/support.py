@@ -556,6 +556,18 @@ def unimodular_twist(g, rng):
     return LieAlgebraFD([f"b{k + 1}" for k in range(n)], table)
 
 
+def rational_rescale(g, rng):
+    """``g`` in the basis b_i = s_i e_i, for small positive rationals s_i
+    from ``rng``, so that [b_i, b_j] = sum_k (s_i s_j / s_k) c_ijk b_k has
+    constants with denominators; the labels get a prime."""
+    scale = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(g.dim)]
+    table = [
+        [[scale[i] * scale[j] * c / scale[k] for k, c in enumerate(g.bracket_basis(i, j))] for j in range(g.dim)]
+        for i in range(g.dim)
+    ]
+    return LieAlgebraFD([f"{name}'" for name in g.labels], table)
+
+
 def strictly_upper_triangular(n):
     """The nilpotent algebra of strictly upper-triangular n x n matrices, basis
     E_ij (i < j) with [E_ij, E_kl] = [j = k] E_il - [l = i] E_kj."""

@@ -12,7 +12,7 @@ from leafconn.parse import parse_multivector
 from leafconn.poly import VarContext
 
 DATA = pathlib.Path(__file__).parent / "data"
-GOLDEN = ["check_poisson", "flat_sections", "char_class", "der_basis"]
+GOLDEN = ["check_poisson", "flat_sections", "char_class", "der_basis", "lie_rational"]
 
 
 def run_to_file(spec_path, tmp_path, extra=()):

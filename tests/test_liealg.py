@@ -227,7 +227,9 @@ def _nonzero_fractions(rows):
 
 
 def test_matrices_match_unit_probing_references():
-    for g in (sl2(), so3(), heisenberg3(), direct_sum(sl2(), heisenberg3())):
+    rng = random.Random(17)
+    rescaled = [support.rational_rescale(g, rng) for g in (so3(), direct_sum(sl2(), heisenberg3()))]
+    for g in (sl2(), so3(), heisenberg3(), direct_sum(sl2(), heisenberg3()), *rescaled):
         for grade in range(g.dim + 1):
             rows = delta_matrix(g, grade)
             assert _nonzero_fractions(rows)
@@ -357,7 +359,11 @@ def test_homology_and_cohomology_unchanged_under_dense_reference(monkeypatch):
 
 def _differential_algebras():
     rng = random.Random(808)
-    return [support.permuted_sum(rng, 7) for _ in range(5)] + [support.strictly_upper_triangular(4)]
+    algebras = [support.permuted_sum(rng, 7) for _ in range(5)] + [support.strictly_upper_triangular(4)]
+    # structure constants with denominators; after the unimodular twist, the
+    # kept residues are rescaled when cleared against the image
+    twisted = support.unimodular_twist(support.permuted_sum(rng, 6), rng)
+    return algebras + [support.rational_rescale(h, rng) for h in (support.permuted_sum(rng, 7), twisted)]
 
 
 @pytest.mark.parametrize("g", _differential_algebras(), ids=repr)
@@ -367,8 +373,11 @@ def test_sparse_path_matches_dense_parent_code(g):
     def table(grades):
         return [(h.grade, h.dimension, [r.components for r in h.representatives]) for h in grades]
 
-    assert table(homology(g)) == table(support.ref_homology(g))
+    grades = homology(g)
+    assert table(grades) == table(support.ref_homology(g))
+    assert all(type(c) is Fraction for h in grades for r in h.representatives for c in r.components.values())
     for grade in range(g.dim + 1):
+        assert _nonzero_fractions(delta_matrix(g, grade))
         for _ in range(3):
             u = rand_chain(rng, g, grade)
             if grade < g.dim and rng.random() < 0.5:
@@ -377,6 +386,7 @@ def test_sparse_path_matches_dense_parent_code(g):
     for S in (LieModuleFD.trivial(g), LieModuleFD.trivial(g, 2), support.adjoint(g)):
         assert cohomology(g, S) == support.ref_cohomology(g, S)
         for grade in range(g.dim + 1):
+            assert _nonzero_fractions(coboundary_matrix(g, S, grade))
             w = rand_cochain(rng, g, S, grade)
             if grade and rng.random() < 0.5:
                 w = ce_coboundary(rand_cochain(rng, g, S, grade - 1))

@@ -314,8 +314,32 @@ def test_dense_and_sparse_rows_do_not_mix():
         lambda: linalg.matmul([[0.5]], [[1]]),
         lambda: linalg.transpose([[0.5]]),
         lambda: linalg.invert([[0.5]]),
+        # valid int cells first, then one bad cell: the all-int read of a
+        # row must not let it through
+        lambda: linalg.rank([{0: 1, 1: 0.5}]),
+        lambda: linalg.rank([[1, 2, 0.5]]),
+        lambda: linalg.nullspace([[1, 2, "1"]], 3),
+        lambda: linalg.nullspace([{0: 1, 1: "1"}], 2),
+        lambda: linalg.solve([[1, 2, 0.5]], [1]),
+        lambda: linalg.solve([{0: 1, 1: 0.5}], {0: 1}),
+        lambda: linalg.solve([[1], [2]], [1, 0.5]),
+        lambda: linalg.residue([1, 2, 0.5], [], []),
+        lambda: linalg.residue({0: 1, 1: "1"}, [], []),
+        lambda: linalg.residue([1, 1], [[1, 0.5]], [0]),
     ],
 )
 def test_floats_and_strings_are_rejected(call):
     with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
         call()
+
+
+def test_bool_cells_are_read_as_int():
+    assert linalg.rank([[True, 2], [2, 4]]) == 1
+    assert linalg.rank([{0: 1, 1: True}, {0: 2, 1: 2}]) == 1
+    answers = [
+        *linalg.nullspace([[True, 2]], 2),
+        linalg.solve([{0: 1, 1: True}], {0: 3}),
+        linalg.residue([True, 1], [[1, 0]], [0]),
+    ]
+    assert answers == [[-2, 1], {0: 3}, [0, 1]]
+    assert all(type(x) is Fraction for a in answers for x in (a.values() if isinstance(a, dict) else a))
