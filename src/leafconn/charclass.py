@@ -12,7 +12,9 @@ the quotient map admits a splitting compatible with the bracket up to
 
 All linear algebra is exact over the rationals; representative and
 complement choices are taken from leftmost-pivot row reduction, so every
-output is deterministic.
+output is deterministic.  The public vectors and matrices are dense; the
+row reductions behind them run on ``linalg.Sparse`` rows, with unit
+vectors as ``{i: 1}``.
 """
 from __future__ import annotations
 
@@ -34,10 +36,25 @@ from .liealg import (
 )
 
 Vec = list[Fraction]
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _vector_str(algebra: LieAlgebraFD, vec: Sequence[Fraction]) -> str:
     return str(ChainElement.vector(algebra, list(vec)))
+
+
+def _sparse_exact(vec: Sequence[Fraction], n: int) -> linalg.Sparse:
+    """The nonzero cells of a dense vector, after checking its length ``n``
+    and that every cell is exact."""
+    if len(vec) != n:
+        raise ValueError(f"expected a vector of length {n}, got {len(vec)}")
+    linalg._check_cells(vec)
+    return _sparse(vec)
+
+
+def _dense(row: linalg.Sparse, n: int) -> Vec:
+    return [row.get(j, _ZERO) for j in range(n)]
 
 
 class LieIdeal:
@@ -47,18 +64,21 @@ class LieIdeal:
         clean = [[linalg._exact(c) for c in row] for row in rows]
         if any(len(row) != ambient.dim for row in clean):
             raise ValueError("ideal basis vectors must have ambient dimension")
-        reduced, pivots = linalg.rref(clean)
+        sparse_rows = [_sparse(row) for row in clean]
+        reduced, pivots = linalg.rref(sparse_rows)
         if len(reduced) != len(clean):
             raise ValueError("ideal basis vectors must be linearly independent")
         self.ambient = ambient
-        self.rows = [list(row) for row in clean]
+        self.rows = clean
         self.reduced = reduced
         self.pivots = pivots
         self.dim = len(reduced)
+        # column k holds the basis row k: coordinates solve against these rows
+        self._columns = _transpose(sparse_rows, ambient.dim)
         for i, unit in enumerate(linalg.identity(ambient.dim)):
             for row in self.rows:
                 image = ambient.bracket(unit, row)
-                if any(linalg.residue(image, reduced, pivots)):
+                if linalg.residue(_sparse(image), reduced, pivots):
                     raise ValueError(
                         f"not an ideal: [{ambient.labels[i]}, "
                         f"{_vector_str(ambient, row)}] = "
@@ -71,13 +91,17 @@ class LieIdeal:
         return cls(ambient, [units[ambient.index(label)] for label in labels])
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not any(linalg.residue(list(vec), self.reduced, self.pivots))
+        return not linalg.residue(_sparse_exact(vec, self.ambient.dim), self.reduced, self.pivots)
 
     def coordinates(self, vec: Sequence[Fraction]) -> Vec:
         """Coefficients of ``vec`` in the stored basis rows."""
-        solution = linalg.solve(linalg.transpose(self.rows), list(vec))
+        return _dense(self._coordinates(_sparse_exact(vec, self.ambient.dim)), self.dim)
+
+    def _coordinates(self, vec: linalg.Sparse) -> linalg.Sparse:
+        solution = linalg.solve(self._columns, vec)
         if solution is None:
-            raise ValueError(f"{_vector_str(self.ambient, vec)} is not in the ideal")
+            dense = _dense(vec, self.ambient.dim)
+            raise ValueError(f"{_vector_str(self.ambient, dense)} is not in the ideal")
         return solution
 
     def __repr__(self) -> str:
@@ -85,10 +109,10 @@ class LieIdeal:
         return f"LieIdeal({gens})"
 
 
-def _commutators(algebra: LieAlgebraFD, rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
+def _commutators(algebra: LieAlgebraFD, rows: Sequence[Sequence[Fraction]]) -> list[linalg.Sparse]:
     """The nonzero brackets [rows[i], rows[j]], i < j, which span [V,V]."""
-    images = (algebra.bracket(a, b) for a, b in combinations(rows, 2))
-    return [image for image in images if any(image)]
+    images = (_sparse(algebra.bracket(a, b)) for a, b in combinations(rows, 2))
+    return [image for image in images if image]
 
 
 class H1Quotient:
@@ -96,7 +120,7 @@ class H1Quotient:
 
     def __init__(self, ideal: LieIdeal):
         g = ideal.ambient
-        commutators = [ideal.coordinates(image) for image in _commutators(g, ideal.rows)]
+        commutators = [ideal._coordinates(image) for image in _commutators(g, ideal.rows)]
         reduced, pivots = linalg.rref(commutators)
         self.ideal = ideal
         self.commutator_reduced = reduced
@@ -110,9 +134,9 @@ class H1Quotient:
 
     def reduce(self, vec: Sequence[Fraction]) -> Vec:
         """Class of an ideal element (ambient coordinates) in the basis."""
-        coords = self.ideal.coordinates(vec)
+        coords = self.ideal._coordinates(_sparse_exact(vec, self.ideal.ambient.dim))
         residue = linalg.residue(coords, self.commutator_reduced, self.commutator_pivots)
-        return [residue[k] for k in self.positions]
+        return [residue.get(k, _ZERO) for k in self.positions]
 
 
 def action_on_h1(ideal: LieIdeal, h1: Optional[H1Quotient] = None) -> list[list[Vec]]:
@@ -143,9 +167,8 @@ class ProjectionOperator:
         rows = [[linalg._exact(c) for c in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("projection matrix must be square of ambient size")
-        for i, unit in enumerate(linalg.identity(n)):
-            image = linalg.matvec(rows, unit)
-            if not ideal.contains(image):
+        for i in range(n):
+            if not ideal.contains([row[i] for row in rows]):
                 raise ValueError(
                     f"projection image of {ideal.ambient.labels[i]} is not in the ideal"
                 )
@@ -160,11 +183,11 @@ class ProjectionOperator:
     @classmethod
     def canonical(cls, ideal: LieIdeal) -> "ProjectionOperator":
         """Projection along the coordinate complement of the pivot columns."""
-        columns = []
-        for unit in linalg.identity(ideal.ambient.dim):
-            res = linalg.residue(unit, ideal.reduced, ideal.pivots)
-            columns.append([a - b for a, b in zip(unit, res)])
-        return cls(ideal, linalg.transpose(columns))
+        n = ideal.ambient.dim
+        # column i is e_i minus its residue modulo the ideal
+        residues = [linalg.residue({i: _ONE}, ideal.reduced, ideal.pivots) for i in range(n)]
+        matrix = [[(i == j) - res.get(j, _ZERO) for i, res in enumerate(residues)] for j in range(n)]
+        return cls(ideal, matrix)
 
     def apply(self, vec: Sequence[Fraction]) -> Vec:
         return linalg.matvec(self.matrix, list(vec))
@@ -183,8 +206,8 @@ def projection_form(
     if h1 is None or module is None:
         h1, module = h1_module(ideal, h1)
     data = {}
-    for i, unit in enumerate(linalg.identity(g.dim)):
-        data[(i,)] = tuple(h1.reduce(projection.apply(unit)))
+    for i in range(g.dim):
+        data[(i,)] = tuple(h1.reduce([row[i] for row in projection.matrix]))
     return CochainCE(g, module, 1, data)
 
 
@@ -207,8 +230,11 @@ class QuotientAlgebra:
         self.algebra = LieAlgebraFD(labels, table)
 
     def project(self, vec: Sequence[Fraction]) -> Vec:
-        res = linalg.residue(list(vec), self.ideal.reduced, self.ideal.pivots)
-        return [res[p] for p in self.positions]
+        return self._project(_sparse_exact(vec, self.ideal.ambient.dim))
+
+    def _project(self, vec: linalg.Sparse) -> Vec:
+        res = linalg.residue(vec, self.ideal.reduced, self.ideal.pivots)
+        return [res.get(p, _ZERO) for p in self.positions]
 
     def lift(self, vec: Sequence[Fraction]) -> Vec:
         """The coordinate section: quotient coordinates back into the algebra."""
@@ -232,7 +258,7 @@ def pullback_cochain(
 ) -> CochainCE:
     """Precompose a cochain on L/V with the quotient map."""
     g = quotient.ideal.ambient
-    projected = [quotient.project(unit) for unit in linalg.identity(g.dim)]
+    projected = [quotient._project({i: _ONE}) for i in range(g.dim)]
     data = {}
     for blade in g.blades(w.grade):
         data[blade] = tuple(w.evaluate([projected[i] for i in blade]))
@@ -339,9 +365,9 @@ def abelianize(algebra: LieAlgebraFD, ideal: LieIdeal) -> Abelianization:
             return [linalg._exact(c) for c in vec]
 
         return Abelianization(algebra, ideal, identity)
-    vv = LieIdeal(algebra, reduced)
+    vv = LieIdeal(algebra, [_dense(row, algebra.dim) for row in reduced])
     quotient = QuotientAlgebra(vv)
-    image_rows = [quotient.project(row) for row in ideal.rows]
+    image_rows = [_sparse(quotient.project(row)) for row in ideal.rows]
     image_reduced, _ = linalg.rref(image_rows)
-    new_ideal = LieIdeal(quotient.algebra, image_reduced)
+    new_ideal = LieIdeal(quotient.algebra, [_dense(row, quotient.algebra.dim) for row in image_reduced])
     return Abelianization(quotient.algebra, new_ideal, quotient.project)

@@ -302,18 +302,20 @@ def flat_sections_at_point(
     if m == 0:
         return [], []
     one = Polynomial.constant(leaf.context, 1)
-    rows: list[list[Fraction]] = []
+    rows: list[linalg.Sparse] = []
     for i in range(len(leaf.context)):
         alpha = DifferentialForm.basis_covector(leaf.context, i)
         x_alpha = leaf.poisson.anchor(alpha)
-        columns = []
-        for blade in complement:
+        block: list[linalg.Sparse] = [{} for _ in range(m)]
+        for k, blade in enumerate(complement):
             extension = MultivectorField(leaf.context, grade, {blade: one})
             derivative = schouten_bracket(x_alpha, extension)
-            columns.append(leaf.reduce_mod_tangent(derivative, point))
-        rows.extend(linalg.transpose(columns))
+            for r, value in enumerate(leaf.reduce_mod_tangent(derivative, point)):
+                if value:
+                    block[r][k] = value
+        rows.extend(block)
     kernel = linalg.nullspace(rows, m)
-    return complement, [tuple(v) for v in kernel]
+    return complement, [tuple(v.get(k, Fraction(0)) for k in range(m)) for v in kernel]
 
 
 def is_flat_at_point(leaf: LeafContext, grade: int = 1, at=None) -> bool:

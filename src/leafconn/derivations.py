@@ -101,8 +101,7 @@ def _kernel(ideal: Ideal, columns: Sequence[Sequence[Polynomial]]) -> list[linal
         for s, poly in enumerate(column):
             for exp, value in ideal.normal_form(poly).terms():
                 rows.setdefault((s, exp), {})[k] = value
-    # an empty row list has no kind; one empty sparse row keeps the answer sparse
-    return linalg.nullspace(list(rows.values()) or [{}], len(columns))
+    return linalg.nullspace(list(rows.values()), len(columns))
 
 
 def der_I_basis(ideal: Ideal, degree_bound: int) -> list[MultivectorField]:

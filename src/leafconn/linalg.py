@@ -1,11 +1,10 @@
 """Exact linear algebra over the rationals.
 
 One sparse, fraction-free elimination kernel, ``_echelon``, does all the
-row reduction.  Every input row, dense or sparse, is read once (``_row``)
-into a primitive integer row ``{column: int}``: denominators cleared,
-content taken out; each cell, ``int`` or ``Fraction``, is read through
-``as_integer_ratio()``, and the row is scaled by the ``lcm`` of the
-denominators.  The kernel maps each pivot column to its pivot row,
+row reduction.  Every input row is read once (``_row``) into a primitive
+integer row ``{column: int}``: denominators cleared, content taken out;
+each cell, ``int`` or ``Fraction``, is read through ``as_integer_ratio()``,
+and the row is scaled by the ``lcm`` of the denominators.  The kernel maps each pivot column to its pivot row,
 kept primitive with a positive pivot cell, so the exact reduced row is
 ``row / row[pivot]``.  A new row is reduced by the pivot rows whose columns
 it touches, then cleared out of the earlier pivot rows; the scan ``for
@@ -14,11 +13,10 @@ row/column graph that the new row does not touch.  Each clearing is one
 integer pseudo-step, ``_clear``: ``a * row - b * pivot_row`` with ``a = p /
 g``, ``b = c / g`` and ``g = gcd(c, p)`` for the cells ``c`` and ``p`` in
 the pivot column, after which the content comes out, as in ``ideals``.
-``_echelon``, ``residue`` and ``in_span`` share it through ``_reduce``.
+``_echelon`` and ``_residue`` share it through ``_reduce``.
 ``_residue`` returns a row cleared against a pivot map with its rational
 scale; ``residue`` and ``liealg.homology`` build ``Fraction`` cells from
-it.  Given a pivot map it built before,
-``_echelon`` extends it in place.  ``Fraction`` cells appear only in the
+it.  Given a pivot map it built before, ``_echelon`` extends it in place.  ``Fraction`` cells appear only in the
 answers (``Fraction(v, p)``); ``rank`` converts nothing.
 
 The reduced row echelon form of a matrix is unique, so results do not
@@ -26,28 +24,24 @@ depend on the order of elimination: the reduced rows and pivots, the
 nullspace basis (one vector per free column) and the residues are exactly
 those of plain left-to-right Gauss-Jordan.
 
-Rows come in two kinds, and ``rref``, ``rank``, ``nullspace``, ``solve`` and
-``residue`` take either: dense sequences of one common length, or ``Sparse``
-dicts that map column indices to their nonzero cells (the kind ``liealg``
-builds its (co)boundary matrices in).  Each answers in the kind it was
-given, densifying only at the end; an empty row list has no kind and
-answers dense.  ``matvec``, ``matmul``, ``transpose`` and ``invert`` take
-dense rows.  Every public function checks the shapes it is given and raises
-``ValueError`` on ragged rows, mixed kinds, mismatched lengths or
-out-of-range sparse columns rather than truncating, and ``TypeError`` on a
-cell that is not ``int`` or ``Fraction``: floats and strings never enter
-exact arithmetic.
+Rows are ``Sparse`` dicts that map column indices to their nonzero cells,
+the kind ``liealg`` builds its (co)boundary matrices in.  ``rref``,
+``rank``, ``residue``, ``nullspace`` and ``solve`` take and answer only
+such rows; an empty row list is simply the zero-row matrix.  ``matvec``,
+``matmul`` and ``transpose`` work on dense rows (sequences of one common
+length), and ``identity`` builds them.  Every public function checks the
+shapes it is given and raises ``ValueError`` on a row of the wrong kind,
+ragged dense rows, mismatched lengths or out-of-range sparse columns
+rather than truncating, and ``TypeError`` on a cell that is not ``int`` or
+``Fraction``: floats and strings never enter exact arithmetic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Optional, Sequence
 
-Vec = list[Fraction]
-Mat = list[Vec]
 Sparse = dict[int, Fraction]
-Row = Union[Sequence[Fraction], Sparse]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -69,59 +63,46 @@ def _check_cells(cells: Collection) -> None:
             _exact(next(x for x in cells if type(x) is kind))
 
 
-def _is_sparse(rows: Sequence[Row]) -> bool:
-    """Whether ``rows`` are sparse dicts; they must all be of one kind."""
-    kinds = {isinstance(row, dict) for row in rows}
-    if len(kinds) > 1:
-        raise ValueError("rows mix dense sequences and sparse dicts")
-    return True in kinds
+def _check_sparse(row) -> None:
+    if not isinstance(row, dict):
+        raise ValueError(f"rows and vectors must be Sparse dicts, got {type(row).__name__}")
 
 
-def _shape(rows: Sequence[Row], ncols: Optional[int] = None) -> Optional[int]:
-    """Check the shape of rows of either kind.
+def _shape(rows: Sequence[Sparse], ncols: Optional[int] = None) -> None:
+    """Check that ``rows`` are ``Sparse`` with columns in ``range(ncols)``,
+    or non-negative ones when the width is open."""
+    for row in rows:
+        _check_sparse(row)
+        if row and (min(row) < 0 or (ncols is not None and max(row) >= ncols)):
+            bad = min(row) if min(row) < 0 else max(row)
+            bound = "" if ncols is None else f" for {ncols} columns"
+            raise ValueError(f"sparse column {bad} out of range{bound}")
 
-    Dense rows must share one length (``ncols`` if given); the result is
-    that length, or ``ncols`` (else 0) when there are no rows.  Sparse rows
-    must have columns in ``range(ncols)``, or non-negative ones when the
-    width is open; the result is ``None``.
-    """
-    if _is_sparse(rows):
-        for row in rows:
-            if row and (min(row) < 0 or (ncols is not None and max(row) >= ncols)):
-                bad = min(row) if min(row) < 0 else max(row)
-                bound = "" if ncols is None else f" for {ncols} columns"
-                raise ValueError(f"sparse column {bad} out of range{bound}")
-        return None
+
+def _check_dense(rows: Sequence[Sequence[Fraction]], width: Optional[int] = None) -> None:
+    """``ValueError`` unless ``rows`` are dense rows of one common length
+    (``width``, if given and there are rows)."""
+    if any(isinstance(row, dict) for row in rows):
+        raise ValueError("sparse rows where dense rows are needed")
     widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
-    width = widths.pop() if widths else ncols
-    if ncols is not None and width != ncols:
-        raise ValueError(f"matrix rows have length {width}, expected {ncols}")
-    return width or 0
+    if width is not None and widths and widths != {width}:
+        raise ValueError(f"matrix rows have length {widths.pop()}, expected {width}")
 
 
-def _width(rows: Sequence[Sequence[Fraction]], expected: Optional[int] = None) -> int:
-    """The common length of dense rows (``expected`` when there are none)."""
-    width = _shape(rows, expected)
-    if width is None:
-        raise ValueError("sparse rows where dense rows are needed")
-    return width
+def _cells(given: Sparse) -> Sparse:
+    """The nonzero cells of ``given`` after checking them."""
+    _check_cells(given.values())
+    return {j: x for j, x in given.items() if x}
 
 
-def _cells(given: Row) -> dict[int, int | Fraction]:
-    """The nonzero cells of ``given``, by column, after checking them."""
-    sparse = isinstance(given, dict)
-    _check_cells(given.values() if sparse else given)
-    return {j: x for j, x in (given.items() if sparse else enumerate(given)) if x}
-
-
-def _row(given: Row) -> tuple[dict[int, int], int, int]:
+def _row(given: Sparse) -> tuple[dict[int, int], int, int]:
     """``(ints, num, den)`` with ``given == ints * num / den`` and ``ints``
     primitive (empty for a zero row)."""
-    sparse = isinstance(given, dict)
-    _check_cells(given.values() if sparse else given)
-    ratios = {j: x.as_integer_ratio() for j, x in (given.items() if sparse else enumerate(given)) if x}
+    _check_sparse(given)
+    _check_cells(given.values())
+    ratios = {j: x.as_integer_ratio() for j, x in given.items() if x}
     den = lcm(*(d for _, d in ratios.values()))
     ints = {j: n * (den // d) for j, (n, d) in ratios.items()}
     content = gcd(*ints.values())
@@ -171,7 +152,7 @@ def _reduce(row: dict[int, int], reduced: dict[int, dict[int, int]]) -> tuple[in
 
 
 def _echelon(
-    rows: Iterable[Row], reduced: Optional[dict[int, dict[int, int]]] = None
+    rows: Iterable[Sparse], reduced: Optional[dict[int, dict[int, int]]] = None
 ) -> dict[int, dict[int, int]]:
     """Pivot column -> its pivot row, for the span of ``rows``.
 
@@ -197,7 +178,7 @@ def _echelon(
     return reduced
 
 
-def _residue(vec: Row, reduced: dict[int, dict[int, int]]) -> tuple[dict[int, int], int, int]:
+def _residue(vec: Sparse, reduced: dict[int, dict[int, int]]) -> tuple[dict[int, int], int, int]:
     """``(ints, num, den)``: the residue of ``vec`` modulo a pivot map is
     ``ints * num / den``, with ``ints`` primitive."""
     row, num, den = _row(vec)
@@ -205,86 +186,45 @@ def _residue(vec: Row, reduced: dict[int, dict[int, int]]) -> tuple[dict[int, in
     return row, num * scale_num, den * scale_den
 
 
-def _exact_row(row: dict[int, int], pivot: int) -> Sparse:
-    """The exact reduced row of a pivot row: ``row / row[pivot]``."""
-    p = row[pivot]
-    return {j: Fraction(v, p) for j, v in row.items()}
-
-
-def _dense(row: Sparse, ncols: int) -> Vec:
-    out = [_ZERO] * ncols
-    for j, x in row.items():
-        out[j] = x
-    return out
-
-
-def _fit(vec: Row, rows: Sequence[Row]) -> bool:
-    """Whether ``vec`` is sparse, after checking that ``rows``, all of one
-    kind, are of its kind (and, if dense, of its length)."""
-    if not isinstance(vec, dict):
-        _width(rows, len(vec))
-        return False
-    if rows and not isinstance(rows[0], dict):
-        raise ValueError("dense rows for a sparse vector")
-    _shape([vec])
-    return True
-
-
-def rref(rows: Sequence[Row]) -> tuple[list, list[int]]:
+def rref(rows: Sequence[Sparse]) -> tuple[list[Sparse], list[int]]:
     """Reduced row echelon form and its pivot columns (zero rows dropped)."""
-    ncols = _shape(rows)
+    _shape(rows)
     reduced = _echelon(rows)
     pivots = sorted(reduced)
-    exact = [_exact_row(reduced[c], c) for c in pivots]
-    if ncols is None:
-        return exact, pivots
-    return [_dense(row, ncols) for row in exact], pivots
+    return [{j: Fraction(v, reduced[c][c]) for j, v in reduced[c].items()} for c in pivots], pivots
 
 
-def rank(rows: Sequence[Row]) -> int:
+def rank(rows: Sequence[Sparse]) -> int:
     _shape(rows)
     return len(_echelon(rows))
 
 
-def residue(vec: Row, reduced: Sequence[Row], pivots: list[int]) -> Vec | Sparse:
+def residue(vec: Sparse, reduced: Sequence[Sparse], pivots: list[int]) -> Sparse:
     """Canonical representative of ``vec`` modulo the row space of ``reduced``.
 
-    ``reduced``/``pivots`` must come from :func:`rref`, of the kind of
-    ``vec`` (or be empty).  The result has a zero in every pivot column; it
-    is zero (all zeros, or an empty dict) iff ``vec`` lies in the span.
+    ``reduced``/``pivots`` must come from :func:`rref` (or be empty).  The
+    result has no cell in any pivot column; it is empty iff ``vec`` lies in
+    the span.
     """
     if len(pivots) != len(reduced):
         raise ValueError(f"{len(pivots)} pivots for {len(reduced)} reduced rows")
-    sparse = _fit(vec, reduced)
+    _shape([vec])
     cells = _cells(vec)
     rows = dict(zip(pivots, reduced))
     # clearing never adds a pivot column: read only the rows it uses
     row, num, den = _residue(cells, {c: _row(rows[c])[0] for c in cells if c in rows})
-    out = {j: Fraction(v * num, den) for j, v in row.items()}
-    return out if sparse else _dense(out, len(vec))
+    return {j: Fraction(v * num, den) for j, v in row.items()}
 
 
-def in_span(rows: Sequence[Row], vec: Row) -> bool:
-    _shape(rows)
-    _fit(vec, rows)
-    row = _row(vec)[0]
-    _reduce(row, _echelon(rows))
-    return not row
-
-
-def nullspace(rows: Sequence[Row], ncols: int) -> list[Vec] | list[Sparse]:
+def nullspace(rows: Sequence[Sparse], ncols: int) -> list[Sparse]:
     """Basis of the right nullspace, one vector per free column.
 
     Each basis vector has value 1 at its free column and zeros at the other
     free columns (the standard back-substitution parametrization).
     """
-    sparse = _shape(rows, ncols) is None
+    _shape(rows, ncols)
     reduced = _echelon(rows)
-    free = [j for j in range(ncols) if j not in reduced]
-    if sparse:
-        basis = {j: {j: _ONE} for j in free}
-    else:
-        basis = {j: _dense({j: _ONE}, ncols) for j in free}
+    basis = {j: {j: _ONE} for j in range(ncols) if j not in reduced}
     for col, row in reduced.items():
         p = row[col]
         for j, x in row.items():
@@ -293,64 +233,45 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[Vec] | list[Sparse]:
     return list(basis.values())
 
 
-def solve(rows: Sequence[Row], rhs: Row) -> Vec | Sparse | None:
+def solve(rows: Sequence[Sparse], rhs: Sparse) -> Sparse | None:
     """One exact solution of ``rows @ x = rhs`` or ``None`` if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.  With a
-    sparse ``rhs`` (a dict over the row indices) the rows must be sparse and
-    the solution is a sparse dict over the columns.
+    ``rhs`` is a dict over the row indices and the solution a dict over the
+    columns.  Free variables are set to zero, so the answer is deterministic.
     """
-    sparse = isinstance(rhs, dict)
-    if sparse:
-        if rows and _shape(rows) is not None:
-            raise ValueError("dense rows with a sparse right-hand side")
-        _shape([rhs], len(rows))
-        # one column past every column in use: the augmented column
-        aug = max((max(row) for row in rows if row), default=-1) + 1
-    else:
-        if len(rhs) != len(rows):
-            raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
-        aug = _width(rows)
+    _shape(rows)
+    _shape([rhs], len(rows))
+    # one column past every column in use: the augmented column
+    aug = max((max(row) for row in rows if row), default=-1) + 1
     b = _cells(rhs)
-    reduced = _echelon({**_cells(row), aug: b[i]} if i in b else row for i, row in enumerate(rows))
+    reduced = _echelon({**row, aug: b[i]} if i in b else row for i, row in enumerate(rows))
     if aug in reduced:
         return None
-    solution = {col: Fraction(row[aug], row[col]) for col, row in reduced.items() if aug in row}
-    return solution if sparse else _dense(solution, aug)
+    return {col: Fraction(row[aug], row[col]) for col, row in reduced.items() if aug in row}
 
 
-def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Vec:
-    _width(rows, len(vec))
+def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> list[Fraction]:
+    _check_dense(rows, len(vec))
     for row in (*rows, vec):
         _check_cells(row)
     return [sum((a * b for a, b in zip(row, vec) if a and b), _ZERO) for row in rows]
 
 
-def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
-    _width(a, len(b))
-    _width(b)
+def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    _check_dense(a, len(b))
+    _check_dense(b)
     for row in (*a, *b):
         _check_cells(row)
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col) if x and y), _ZERO) for col in cols] for row in a]
 
 
-def transpose(rows: Sequence[Sequence[Fraction]]) -> Mat:
-    _width(rows)
+def transpose(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    _check_dense(rows)
     for row in rows:
         _check_cells(row)
     return [list(col) for col in zip(*rows)]
 
 
-def identity(n: int) -> Mat:
+def identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def invert(rows: Sequence[Sequence[Fraction]]) -> Mat | None:
-    """Exact inverse of a square matrix, or ``None`` if singular."""
-    n = len(rows)
-    _width(rows, n)
-    reduced = _echelon((*row, *unit) for row, unit in zip(rows, identity(n)))
-    if any(c not in reduced for c in range(n)):
-        return None
-    return [_dense(_exact_row(reduced[c], c), 2 * n)[n:] for c in range(n)]

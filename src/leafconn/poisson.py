@@ -113,12 +113,13 @@ class PoissonStructure:
         if len(point) != n:
             raise ValueError(f"point has length {len(point)}, expected {n}")
         pt = list(map(linalg._exact, point))
-        matrix = [[Fraction(0)] * n for _ in range(n)]
+        rows: list[linalg.Sparse] = [{} for _ in range(n)]
         for (i, j), coeff in self.bivector.components():
             value = coeff.evaluate(pt)
-            matrix[i][j] = value
-            matrix[j][i] = -value
-        return linalg.rank(matrix)
+            if value:
+                rows[i][j] = value
+                rows[j][i] = -value
+        return linalg.rank(rows)
 
     def is_integral_ideal(self, ideal: Ideal) -> bool:
         """Whether every Hamiltonian field maps the ideal into itself.

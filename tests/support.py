@@ -253,7 +253,7 @@ def abelianized_class_agrees(
     # identify the class modules via images of representatives
     n_cols = [after.h1.reduce(ab.project(rep)) for rep in before.h1.representatives]
     n_matrix = [[n_cols[c][r] for c in range(len(n_cols))] for r in range(before.h1.dim)]
-    n_inverse = linalg.invert(n_matrix)
+    n_inverse = ref_invert(n_matrix)
     if n_inverse is None:
         return False
     # pull the abelianized form back and compare modulo exact cochains
@@ -264,15 +264,15 @@ def abelianized_class_agrees(
     pulled = CochainCE(q_a.algebra, before.module, 2, data)
     difference = before.form - pulled
     exact_rows = linalg.transpose(reference_coboundary_matrix(q_a.algebra, before.module, 1))
-    reduced, pivots = linalg.rref(exact_rows)
-    return not any(linalg.residue(difference.coordinates(), reduced, pivots))
+    reduced, pivots = ref_rref(exact_rows)
+    return not any(ref_residue(difference.coordinates(), reduced, pivots))
 
 
 # -- dense reference linear algebra ------------------------------------------------
 # Plain left-to-right Gauss-Jordan on dense Fraction rows: the elimination
 # leafconn.linalg used before its sparse kernel, kept as a differential oracle.
-# Given sparse rows (dicts of nonzero cells), each oracle densifies them, runs
-# the dense elimination and answers with the sparse form of its dense answer.
+# ref_rref (and so ref_rank) also takes sparse rows (dicts of nonzero cells): it
+# densifies them, runs the dense elimination and answers in sparse form.
 
 
 def densify(rows, ncols):
@@ -285,17 +285,10 @@ def sparsify(vec):
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def _is_sparse(rows):
-    return bool(rows) and isinstance(rows[0], dict)
-
-
-def _sparse_width(*rows):
-    return max((max(row) + 1 for row in rows if row), default=0)
-
-
 def ref_rref(rows):
-    if _is_sparse(rows):
-        reduced, pivots = ref_rref(densify(rows, _sparse_width(*rows)))
+    if rows and isinstance(rows[0], dict):
+        width = max((max(row) + 1 for row in rows if row), default=0)
+        reduced, pivots = ref_rref(densify(rows, width))
         return [sparsify(row) for row in reduced], pivots
     mat = [[Fraction(x) for x in row] for row in rows]
     if not mat:
@@ -326,9 +319,6 @@ def ref_rank(rows):
 
 
 def ref_residue(vec, reduced, pivots):
-    if isinstance(vec, dict):
-        width = _sparse_width(vec, *reduced)
-        return sparsify(ref_residue(densify([vec], width)[0], densify(reduced, width), pivots))
     out = [Fraction(x) for x in vec]
     for row, col in zip(reduced, pivots):
         if out[col]:
@@ -338,8 +328,6 @@ def ref_residue(vec, reduced, pivots):
 
 
 def ref_nullspace(rows, ncols):
-    if _is_sparse(rows):
-        return [sparsify(vec) for vec in ref_nullspace(densify(rows, ncols), ncols)]
     reduced, pivots = ref_rref(rows)
     basis = []
     for free in range(ncols):
@@ -354,10 +342,6 @@ def ref_nullspace(rows, ncols):
 
 
 def ref_solve(rows, rhs):
-    if isinstance(rhs, dict):
-        dense = [rhs.get(i, Fraction(0)) for i in range(len(rows))]
-        solution = ref_solve(densify(rows, _sparse_width(*rows)), dense)
-        return None if solution is None else sparsify(solution)
     if not rows:
         return [] if not any(rhs) else None
     ncols = len(rows[0])
@@ -540,7 +524,7 @@ def unimodular_twist(g, rng):
     order = list(range(n))
     rng.shuffle(order)
     m = [[rng.choice([-1, 1]) * x for x in upper[k]] for k in order]
-    inv = linalg.invert(m)
+    inv = ref_invert(m)
     table = []
     for i in range(n):
         row = []
@@ -590,7 +574,8 @@ def strictly_upper_triangular(n):
 # The derivation-slice and cochain-evaluation code leafconn used before it
 # routed them through linalg and the wedge kernel: hand-built constraint rows,
 # row-combination loops, a transpose/nullspace slice intersection and a
-# determinant per cochain component.  Kept as differential oracles.
+# determinant per cochain component.  Kept as differential oracles; their row
+# reductions are the dense Gauss-Jordan oracles above, not linalg's kernel.
 
 
 def _ref_vector_to_field(context, monos, vec):
@@ -633,7 +618,7 @@ def ref_der_I_basis(ideal, degree_bound):
                         row_of[key] = len(rows)
                         rows.append([Fraction(0)] * unknowns)
                     rows[row_of[key]][i * len(monos) + m] += value
-    kernel = linalg.nullspace(rows, unknowns)
+    kernel = ref_nullspace(rows, unknowns)
     return [_ref_vector_to_field(context, monos, vec) for vec in kernel]
 
 
@@ -655,7 +640,7 @@ def ref_is_regular_integral(distribution, ideal, degree_bound):
             vec = _ref_field_to_vector(scaled, monos)
             if vec is not None:
                 d_rows.append(vec)
-    d_basis, _ = linalg.rref(d_rows)
+    d_basis, _ = ref_rref(d_rows)
 
     constraints = []
     row_of = {}
@@ -669,7 +654,7 @@ def ref_is_regular_integral(distribution, ideal, degree_bound):
                     constraints.append([Fraction(0)] * len(d_basis))
                 constraints[row_of[key]][t] += value
     zero_part = []
-    for lam in linalg.nullspace(constraints, len(d_basis)):
+    for lam in ref_nullspace(constraints, len(d_basis)):
         combo = [Fraction(0)] * len(monos) * len(context)
         for t, weight in enumerate(lam):
             for k, value in enumerate(d_basis[t]):
@@ -690,11 +675,11 @@ def ref_is_regular_integral(distribution, ideal, degree_bound):
                 vec = _ref_field_to_vector(scaled, big_monos)
                 if vec is not None:
                     id_rows.append(vec)
-    id_big_basis, _ = linalg.rref(id_rows)
+    id_big_basis, _ = ref_rref(id_rows)
     # kill every coordinate of degree above d
     high = [k for k, m in enumerate(big_monos) if sum(m) > d]
     cut_rows = [[vec[i * len(big_monos) + k] for i in range(len(context)) for k in high] for vec in id_big_basis]
-    inter = linalg.nullspace(linalg.transpose(cut_rows) if cut_rows else [], len(id_big_basis))
+    inter = ref_nullspace(linalg.transpose(cut_rows) if cut_rows else [], len(id_big_basis))
     low_positions = [i * len(big_monos) + big_index[m] for i in range(len(context)) for m in monos]
     id_slice = []
     for weights in inter:
@@ -703,10 +688,10 @@ def ref_is_regular_integral(distribution, ideal, degree_bound):
             for k, value in enumerate(id_big_basis[t]):
                 combo[k] += weight * value
         id_slice.append([combo[k] for k in low_positions])
-    id_basis, id_pivots = linalg.rref(id_slice)
+    id_basis, id_pivots = ref_rref(id_slice)
 
     for vec in zero_part:
-        if any(linalg.residue(vec, id_basis, id_pivots)):
+        if any(ref_residue(vec, id_basis, id_pivots)):
             return RegularityResult("not_regular", _ref_vector_to_field(context, monos, vec), d)
     return RegularityResult("inconclusive", None, d)
 

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,8 @@ def F(x):
 
 
 def rows(*data):
-    return [[F(x) for x in row] for row in data]
+    """Sparse rows from dense data: the nonzero cells as Fractions."""
+    return [{j: F(x) for j, x in enumerate(row) if x} for row in data]
 
 
 def test_rref_drops_dependent_rows():
@@ -32,7 +35,7 @@ def test_rref_identity():
 def test_rref_idempotent():
     rng = random.Random(7)
     for _ in range(25):
-        m = [[F(rng.randint(-4, 4)) for _ in range(4)] for _ in range(3)]
+        m = rows(*([rng.randint(-4, 4) for _ in range(4)] for _ in range(3)))
         reduced, pivots = linalg.rref(m)
         again, again_pivots = linalg.rref(reduced)
         assert again == reduced
@@ -43,86 +46,103 @@ def test_rank_transpose_invariant():
     rng = random.Random(11)
     for _ in range(25):
         m = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(4)]
-        assert linalg.rank(m) == linalg.rank(linalg.transpose(m))
+        assert linalg.rank(rows(*m)) == linalg.rank(rows(*linalg.transpose(m)))
 
 
 def test_residue_of_span_member_is_zero():
     reduced, pivots = linalg.rref(rows((1, 0, 2), (0, 1, 1)))
-    assert linalg.residue([F(3), F(-1), F(5)], reduced, pivots) == [F(0)] * 3
-    res = linalg.residue([F(0), F(0), F(1)], reduced, pivots)
-    assert any(res)
-    for p in pivots:
-        assert res[p] == 0
-
-
-def test_in_span():
-    m = rows((1, 1, 0), (0, 0, 1))
-    assert linalg.in_span(m, [F(2), F(2), F(-1)])
-    assert not linalg.in_span(m, [F(1), F(0), F(0)])
+    assert linalg.residue({0: F(3), 1: F(-1), 2: F(5)}, reduced, pivots) == {}
+    res = linalg.residue({2: F(1)}, reduced, pivots)
+    assert res
+    assert not any(p in res for p in pivots)
 
 
 def test_nullspace_dimension_and_membership():
-    m = rows((1, 2, 3), (0, 1, 1))
-    basis = linalg.nullspace(m, 3)
+    m = [[F(1), F(2), F(3)], [F(0), F(1), F(1)]]
+    basis = linalg.nullspace(rows(*m), 3)
     assert len(basis) == 1
     for vec in basis:
-        assert linalg.matvec(m, vec) == [F(0), F(0)]
+        assert linalg.matvec(m, support.densify([vec], 3)[0]) == [F(0), F(0)]
     assert linalg.nullspace(rows((1, 0), (0, 1)), 2) == []
+
+
+def test_nullspace_of_no_rows_is_the_unit_dicts():
+    assert linalg.nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert all(type(x) is Fraction for vec in linalg.nullspace([], 3) for x in vec.values())
+    assert linalg.nullspace([], 0) == []
 
 
 def test_solve():
     m = rows((1, 1), (1, -1))
-    sol = linalg.solve(m, [F(3), F(1)])
-    assert sol == [F(2), F(1)]
-    assert linalg.solve(rows((1, 1), (1, 1)), [F(0), F(1)]) is None
-    under = rows((1, 1, 1))
-    sol = linalg.solve(under, [F(5)])
+    assert linalg.solve(m, {0: F(3), 1: F(1)}) == {0: F(2), 1: F(1)}
+    assert linalg.solve(rows((1, 1), (1, 1)), {1: F(1)}) is None
+    under = [[F(1), F(1), F(1)]]
+    sol = linalg.solve(rows(*under), {0: F(5)})
     assert sol is not None
-    assert linalg.matvec(under, sol) == [F(5)]
-
-
-def test_invert_roundtrip():
-    m = rows((2, 1, 0), (0, 1, 1), (1, 0, 1))
-    inv = linalg.invert(m)
-    assert inv is not None
-    assert linalg.matmul(m, inv) == linalg.identity(3)
-    assert linalg.matmul(inv, m) == linalg.identity(3)
-    assert linalg.invert(rows((1, 2), (2, 4))) is None
+    assert linalg.matvec(under, support.densify([sol], 3)[0]) == [F(5)]
 
 
 def test_transpose_empty():
     assert linalg.transpose([]) == []
 
 
-def _all_fractions(*vectors):
-    return all(isinstance(x, Fraction) for vec in vectors for x in vec)
+def _sparse_rows(rng, m):
+    """The rows of a dense matrix as Sparse dicts, keeping a few zero cells,
+    which the kernel must read as absent."""
+    return [{j: x for j, x in enumerate(row) if x or rng.random() < 0.2} for row in m]
 
 
 def test_matches_dense_reference_on_random_matrices():
     rng = random.Random(2024)
+    sparsify = support.sparsify
     for trial in range(400):
         nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
         density = rng.choice([0.05, 0.1, 0.25, 0.5, 1.0])
         m = support.rand_sparse_matrix(rng, nrows, ncols, density)
-        reduced, pivots = linalg.rref(m)
-        assert (reduced, pivots) == support.ref_rref(m), trial
-        assert all(_all_fractions(row) for row in reduced)
-        assert linalg.rank(m) == support.ref_rank(m)
-        basis = linalg.nullspace(m, ncols)
-        assert basis == support.ref_nullspace(m, ncols)
-        assert all(_all_fractions(vec) for vec in basis)
+        s = _sparse_rows(rng, m)
+        reduced, pivots = linalg.rref(s)
+        ref_reduced, ref_pivots = support.ref_rref(m)
+        assert (reduced, pivots) == ([sparsify(row) for row in ref_reduced], ref_pivots), trial
+        assert linalg.rank(s) == support.ref_rank(m)
+        basis = linalg.nullspace(s, ncols)
+        assert basis == [sparsify(vec) for vec in support.ref_nullspace(m, ncols)]
         vec = support.rand_sparse_matrix(rng, 1, ncols, density)[0]
-        res = linalg.residue(vec, reduced, pivots)
-        assert res == support.ref_residue(vec, reduced, pivots)
-        assert _all_fractions(res)
+        res = linalg.residue(_sparse_rows(rng, [vec])[0], reduced, pivots)
+        assert res == sparsify(support.ref_residue(vec, ref_reduced, ref_pivots))
         rhs = [rng.choice([0, 1, Fraction(-2, 3)]) for _ in range(nrows)]
-        solution = linalg.solve(m, rhs)
-        assert solution == support.ref_solve(m, rhs)
-        assert solution is None or _all_fractions(solution)
-        square = support.rand_sparse_matrix(rng, nrows, nrows, density)
-        inverse = linalg.invert(square)
-        assert inverse == support.ref_invert(square)
-        assert inverse is None or all(_all_fractions(row) for row in inverse)
+        solution = linalg.solve(s, _sparse_rows(rng, [rhs])[0])
+        expected = support.ref_solve(m, rhs)
+        assert solution == (None if expected is None else sparsify(expected))
+        # every answer cell is a nonzero Fraction
+        for answer in (*reduced, *basis, res, solution or {}):
+            assert all(type(x) is Fraction and x for x in answer.values())
+
+
+def test_sparse_rows_answer_the_sparse_form_of_the_dense_answer():
+    rng = random.Random(88)
+    sparsify = support.sparsify
+    for trial in range(400):
+        nrows, ncols = rng.randint(1, 8), rng.randint(0, 8)
+        density = rng.choice([0.05, 0.1, 0.25, 0.5, 1.0])
+        m = support.rand_sparse_matrix(rng, nrows, ncols, density)
+        s = [sparsify(row) for row in m]
+        reduced, pivots = support.ref_rref(m)
+        s_reduced, s_pivots = linalg.rref(s)
+        assert (s_reduced, s_pivots) == ([sparsify(row) for row in reduced], pivots), trial
+        assert linalg.rank(s) == support.ref_rank(m)
+        basis = linalg.nullspace(s, ncols)
+        assert basis == [sparsify(vec) for vec in support.ref_nullspace(m, ncols)]
+        vec = support.rand_sparse_matrix(rng, 1, ncols, density)[0]
+        res = linalg.residue(sparsify(vec), s_reduced, pivots)
+        assert res == sparsify(support.ref_residue(vec, reduced, pivots))
+        # a zero residue is span membership: adding the vector keeps the rank
+        assert (res == {}) == (linalg.rank([*s, sparsify(vec)]) == len(pivots))
+        rhs = [rng.choice([0, 1, Fraction(-2, 3)]) for _ in range(nrows)]
+        solution = support.ref_solve(m, rhs)
+        s_solution = linalg.solve(s, sparsify(rhs))
+        assert s_solution == (None if solution is None else sparsify(solution))
+        for answer in (*s_reduced, *basis, res, s_solution or {}):
+            assert all(type(x) is Fraction and x for x in answer.values())
 
 
 def _wide_cell(rng):
@@ -150,36 +170,27 @@ def test_integer_kernel_matches_dense_oracles_on_wide_cells(seed):
         if rng.random() < 0.3:
             # a row that depends on the others, with a pivot far from +-1
             m.append([3 * a - Fraction(5, 7) * b for a, b in zip(m[0], m[-1])])
-        for sparse in (False, True):
-            given = [sparsify(row) for row in m] if sparse else m
-            kind = sparsify if sparse else list
-            reduced, pivots = linalg.rref(given)
-            ref_reduced, ref_pivots = support.ref_rref(m)
-            assert (reduced, pivots) == ([kind(row) for row in ref_reduced], ref_pivots), trial
-            assert linalg.rank(given) == len(ref_pivots)
-            basis = linalg.nullspace(given, ncols)
-            assert basis == [kind(vec) for vec in support.ref_nullspace(m, ncols)]
-            vec = [_wide_cell(rng) for _ in range(ncols)]
-            res = linalg.residue(kind(vec), reduced, pivots)
-            assert res == kind(support.ref_residue(vec, ref_reduced, ref_pivots))
-            assert linalg.in_span(given, kind(vec)) == (not any(res.values() if sparse else res))
-            rhs = [_wide_cell(rng) for _ in range(len(m))]
-            solution = linalg.solve(given, kind(rhs))
-            expected = support.ref_solve(m, rhs)
-            assert solution == (None if expected is None else kind(expected))
-            answers = [*reduced, *basis, res, solution or kind([])]
-            if not sparse and len(m) >= ncols:
-                inverse = linalg.invert(m[:ncols])
-                assert inverse == support.ref_invert(m[:ncols])
-                answers += inverse or []
-            for answer in answers:
-                cells = answer.values() if isinstance(answer, dict) else answer
-                assert all(type(x) is Fraction for x in cells)
+        given = [sparsify(row) for row in m]
+        reduced, pivots = linalg.rref(given)
+        ref_reduced, ref_pivots = support.ref_rref(m)
+        assert (reduced, pivots) == ([sparsify(row) for row in ref_reduced], ref_pivots), trial
+        assert linalg.rank(given) == len(ref_pivots)
+        basis = linalg.nullspace(given, ncols)
+        assert basis == [sparsify(vec) for vec in support.ref_nullspace(m, ncols)]
+        vec = [_wide_cell(rng) for _ in range(ncols)]
+        res = linalg.residue(sparsify(vec), reduced, pivots)
+        assert res == sparsify(support.ref_residue(vec, ref_reduced, ref_pivots))
+        rhs = [_wide_cell(rng) for _ in range(len(m))]
+        solution = linalg.solve(given, sparsify(rhs))
+        expected = support.ref_solve(m, rhs)
+        assert solution == (None if expected is None else sparsify(expected))
+        for answer in (*reduced, *basis, res, solution or {}):
+            assert all(type(x) is Fraction for x in answer.values())
         # the pivot map: primitive integer rows with positive pivots that
         # vanish at the other pivots; row / row[pivot] is the reduced row
-        whole = linalg._echelon(m)
+        whole = linalg._echelon(given)
         grown: dict = {}
-        for row in m:
+        for row in given:
             linalg._echelon([row], grown)
         assert grown == whole
         assert sorted(whole) == ref_pivots
@@ -198,67 +209,36 @@ def test_rank_and_nullity_match_sympy():
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         m = support.rand_sparse_matrix(rng, nrows, ncols, rng.choice([0.1, 0.3, 1.0]))
         reference = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in map(F, row)] for row in m])
-        assert linalg.rank(m) == reference.rank()
-        assert len(linalg.nullspace(m, ncols)) == len(reference.nullspace())
+        s = [support.sparsify(row) for row in m]
+        assert linalg.rank(s) == reference.rank()
+        assert len(linalg.nullspace(s, ncols)) == len(reference.nullspace())
 
 
 def test_ragged_rows_are_rejected():
-    with pytest.raises(ValueError):
-        linalg.rref([[0], [1, 2]])
-    with pytest.raises(ValueError):
-        linalg.rref([[1, 2], [0]])
-    with pytest.raises(ValueError):
-        linalg.rank([[1], [1, 2]])
+    with pytest.raises(ValueError, match="ragged"):
+        linalg.transpose([[0], [1, 2]])
+    with pytest.raises(ValueError, match="ragged"):
+        linalg.matvec([[1, 2], [0]], [1, 2])
+    with pytest.raises(ValueError, match="ragged"):
+        linalg.matmul([[1, 1]], [[1], [1, 2]])
 
 
 def test_solve_rejects_rhs_length_mismatch():
-    with pytest.raises(ValueError):
-        linalg.solve([[1, 2]], [1, 5])
+    # the right-hand side is indexed by row
+    with pytest.raises(ValueError, match="sparse column 1 out of range for 1 columns"):
+        linalg.solve([{0: 1, 1: 2}], {0: 1, 1: 5})
 
 
 def test_nullspace_rejects_wrong_column_count():
-    with pytest.raises(ValueError):
-        linalg.nullspace([[1, 0, 0]], 2)
+    with pytest.raises(ValueError, match="sparse column 2 out of range for 2 columns"):
+        linalg.nullspace([{0: 1, 2: 1}], 2)
 
 
 def test_vector_length_must_match_row_width():
     with pytest.raises(ValueError):
-        linalg.residue([1], [[1, 1]], [0])
-    with pytest.raises(ValueError):
         linalg.matvec([[1, 1]], [1])
     with pytest.raises(ValueError):
-        linalg.in_span([[1, 1]], [1, 1, 1])
-
-
-def test_invert_rejects_non_square():
-    with pytest.raises(ValueError):
-        linalg.invert([[1, 0, 0], [0, 1, 0]])
-
-
-def test_sparse_rows_answer_the_sparse_form_of_the_dense_answer():
-    rng = random.Random(88)
-    sparsify = support.sparsify
-    for trial in range(400):
-        nrows, ncols = rng.randint(1, 8), rng.randint(0, 8)
-        density = rng.choice([0.05, 0.1, 0.25, 0.5, 1.0])
-        m = support.rand_sparse_matrix(rng, nrows, ncols, density)
-        s = [sparsify(row) for row in m]
-        reduced, pivots = linalg.rref(m)
-        s_reduced, s_pivots = linalg.rref(s)
-        assert (s_reduced, s_pivots) == ([sparsify(row) for row in reduced], pivots), trial
-        assert linalg.rank(s) == linalg.rank(m)
-        basis = linalg.nullspace(s, ncols)
-        assert basis == [sparsify(vec) for vec in linalg.nullspace(m, ncols)]
-        vec = support.rand_sparse_matrix(rng, 1, ncols, density)[0]
-        res = linalg.residue(sparsify(vec), s_reduced, pivots)
-        assert res == sparsify(linalg.residue(vec, reduced, pivots))
-        assert linalg.in_span(s, sparsify(vec)) == linalg.in_span(m, vec)
-        rhs = [rng.choice([0, 1, Fraction(-2, 3)]) for _ in range(nrows)]
-        solution = linalg.solve(m, rhs)
-        s_solution = linalg.solve(s, sparsify(rhs))
-        assert s_solution == (None if solution is None else sparsify(solution))
-        for answer in (*s_reduced, *basis, res, s_solution or {}):
-            assert all(type(x) is Fraction and x for x in answer.values())
+        linalg.matmul([[1, 1]], [[1]])
 
 
 def test_sparse_columns_out_of_range_are_rejected():
@@ -274,58 +254,62 @@ def test_sparse_columns_out_of_range_are_rejected():
         linalg.residue({-1: 1}, [], [])
     with pytest.raises(ValueError, match="sparse column -1 out of range"):
         linalg.solve([{-1: 1}], {0: 1})
-    # the right-hand side is indexed by row
     with pytest.raises(ValueError, match="sparse column 1 out of range for 1 columns"):
         linalg.solve([{0: 1}], {1: 1})
 
 
-def test_dense_and_sparse_rows_do_not_mix():
-    with pytest.raises(ValueError, match="mix"):
-        linalg.rank([{0: 1}, [1]])
-    with pytest.raises(ValueError):
-        linalg.residue([1, 0], [{0: 1}], [0])
-    with pytest.raises(ValueError):
-        linalg.residue({0: 1}, [[1, 0]], [0])
-    with pytest.raises(ValueError):
-        linalg.in_span([[1, 0]], {0: 1})
-    with pytest.raises(ValueError):
-        linalg.in_span([{0: 1}], [1, 0])
-    with pytest.raises(ValueError):
-        linalg.solve([[1]], {0: 1})
-    with pytest.raises(ValueError):
-        linalg.solve([{0: 1}], [1])
-    with pytest.raises(ValueError):
+def test_dense_rows_are_rejected():
+    calls = [
+        lambda: linalg.rref([[1, 0]]),
+        lambda: linalg.rref([(1, 0)]),
+        lambda: linalg.rank([{0: 1}, [1]]),
+        lambda: linalg.nullspace([[1, 0]], 2),
+        lambda: linalg.solve([[1]], {0: 1}),
+        lambda: linalg.solve([{0: 1}], [1]),
+        lambda: linalg.residue([1, 0], [], []),
+        # a dense reduced row is caught where the vector reads it
+        lambda: linalg.residue({0: 1}, [[1, 0]], [0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be Sparse dicts"):
+            call()
+
+
+def test_dense_helpers_reject_sparse_rows():
+    with pytest.raises(ValueError, match="sparse rows where dense rows are needed"):
         linalg.transpose([{0: 1}])
+    with pytest.raises(ValueError, match="sparse rows where dense rows are needed"):
+        linalg.matvec([{0: 1}], [1])
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: linalg.rank([["1/3", 0.1]]),
-        lambda: linalg.rref([[0.0, 1]]),
+        lambda: linalg.rank([{0: "1/3", 1: 0.1}]),
+        lambda: linalg.rref([{0: 0.0, 1: 1}]),
         lambda: linalg.rank([{0: 0.5}]),
-        lambda: linalg.nullspace([[1, 0.5]], 2),
-        lambda: linalg.solve([[1]], [0.5]),
+        lambda: linalg.nullspace([{0: 1, 1: 0.5}], 2),
+        lambda: linalg.solve([{0: 0.5}], {0: 1}),
         lambda: linalg.solve([{0: 1}], {0: 0.5}),
-        lambda: linalg.residue([0.5], [], []),
+        lambda: linalg.residue({0: 0.5}, [], []),
         lambda: linalg.residue({0: "1"}, [], []),
-        lambda: linalg.in_span([[1]], [0.5]),
+        lambda: linalg.rref([{0: 1}, {1: "1/2"}]),
         lambda: linalg.matvec([[1]], [0.5]),
         lambda: linalg.matmul([[0.5]], [[1]]),
         lambda: linalg.transpose([[0.5]]),
-        lambda: linalg.invert([[0.5]]),
+        lambda: linalg.solve([{0: 1}, {1: 1}], {1: "2"}),
         # valid int cells first, then one bad cell: the all-int read of a
         # row must not let it through
         lambda: linalg.rank([{0: 1, 1: 0.5}]),
-        lambda: linalg.rank([[1, 2, 0.5]]),
-        lambda: linalg.nullspace([[1, 2, "1"]], 3),
+        lambda: linalg.rank([{0: 1, 1: 2, 2: 0.5}]),
+        lambda: linalg.nullspace([{0: 1, 1: 2, 2: "1"}], 3),
         lambda: linalg.nullspace([{0: 1, 1: "1"}], 2),
-        lambda: linalg.solve([[1, 2, 0.5]], [1]),
+        lambda: linalg.solve([{0: 1, 1: 2, 2: 0.5}], {0: 1}),
         lambda: linalg.solve([{0: 1, 1: 0.5}], {0: 1}),
-        lambda: linalg.solve([[1], [2]], [1, 0.5]),
-        lambda: linalg.residue([1, 2, 0.5], [], []),
+        lambda: linalg.solve([{0: 1}, {0: 2}], {0: 1, 1: 0.5}),
+        lambda: linalg.residue({0: 1, 1: 2, 2: 0.5}, [], []),
         lambda: linalg.residue({0: 1, 1: "1"}, [], []),
-        lambda: linalg.residue([1, 1], [[1, 0.5]], [0]),
+        lambda: linalg.residue({0: 1, 1: 1}, [{0: 1, 1: 0.5}], [0]),
     ],
 )
 def test_floats_and_strings_are_rejected(call):
@@ -334,12 +318,38 @@ def test_floats_and_strings_are_rejected(call):
 
 
 def test_bool_cells_are_read_as_int():
-    assert linalg.rank([[True, 2], [2, 4]]) == 1
+    assert linalg.rank([{0: True, 1: 2}, {0: 2, 1: 4}]) == 1
     assert linalg.rank([{0: 1, 1: True}, {0: 2, 1: 2}]) == 1
     answers = [
-        *linalg.nullspace([[True, 2]], 2),
+        *linalg.nullspace([{0: True, 1: 2}], 2),
         linalg.solve([{0: 1, 1: True}], {0: 3}),
-        linalg.residue([True, 1], [[1, 0]], [0]),
+        linalg.residue({0: True, 1: 1}, [{0: 1}], [0]),
     ]
-    assert answers == [[-2, 1], {0: 3}, [0, 1]]
-    assert all(type(x) is Fraction for a in answers for x in (a.values() if isinstance(a, dict) else a))
+    assert answers == [{0: -2, 1: 1}, {0: 3}, {1: 1}]
+    assert all(type(x) is Fraction for a in answers for x in a.values())
+
+
+def _linalg_names(tree):
+    """The attribute names read off ``linalg`` and imported from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "linalg":
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level == 1:
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_linalg_name_has_a_library_caller():
+    package = Path(linalg.__file__).parent
+    module = ast.parse(Path(linalg.__file__).read_text())
+    public = set()
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef):
+            public.add(node.name)
+        elif isinstance(node, ast.Assign):
+            public.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in public if not name.startswith("_")}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "linalg.py":
+            used.update(_linalg_names(ast.parse(path.read_text())))
+    assert public - used == set()
