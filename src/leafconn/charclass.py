@@ -230,10 +230,8 @@ class QuotientAlgebra:
         self.algebra = LieAlgebraFD(labels, table)
 
     def project(self, vec: Sequence[Fraction]) -> Vec:
-        return self._project(_sparse_exact(vec, self.ideal.ambient.dim))
-
-    def _project(self, vec: linalg.Sparse) -> Vec:
-        res = linalg.residue(vec, self.ideal.reduced, self.ideal.pivots)
+        sparse = _sparse_exact(vec, self.ideal.ambient.dim)
+        res = linalg.residue(sparse, self.ideal.reduced, self.ideal.pivots)
         return [res.get(p, _ZERO) for p in self.positions]
 
     def lift(self, vec: Sequence[Fraction]) -> Vec:
@@ -258,7 +256,7 @@ def pullback_cochain(
 ) -> CochainCE:
     """Precompose a cochain on L/V with the quotient map."""
     g = quotient.ideal.ambient
-    projected = [quotient._project({i: _ONE}) for i in range(g.dim)]
+    projected = [quotient.project(unit) for unit in linalg.identity(g.dim)]
     data = {}
     for blade in g.blades(w.grade):
         data[blade] = tuple(w.evaluate([projected[i] for i in blade]))

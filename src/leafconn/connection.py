@@ -303,13 +303,11 @@ def flat_sections_at_point(
         return [], []
     one = Polynomial.constant(leaf.context, 1)
     rows: list[linalg.Sparse] = []
-    for i in range(len(leaf.context)):
-        alpha = DifferentialForm.basis_covector(leaf.context, i)
-        x_alpha = leaf.poisson.anchor(alpha)
+    for tangent in leaf.tangent_generators():
         block: list[linalg.Sparse] = [{} for _ in range(m)]
         for k, blade in enumerate(complement):
             extension = MultivectorField(leaf.context, grade, {blade: one})
-            derivative = schouten_bracket(x_alpha, extension)
+            derivative = schouten_bracket(tangent, extension)
             for r, value in enumerate(leaf.reduce_mod_tangent(derivative, point)):
                 if value:
                     block[r][k] = value

@@ -171,18 +171,27 @@ def is_regular_integral(
     low = {(i, m): i * len(monos) + k for i in range(n) for k, m in enumerate(monos)}
     gen_degrees = [_field_coefficient_degree(f) for f in distribution]
 
+    def multiples(
+        factor: Polynomial, degree: int, column: dict[tuple[int, tuple[int, ...]], int]
+    ) -> list[linalg.Sparse]:
+        """The fields mono * factor * X of coefficient degree <= degree over
+        the generators X, as vectors under ``column``; those with a term
+        outside it are left out."""
+        rows: list[linalg.Sparse] = []
+        for field, gdeg in zip(distribution, gen_degrees):
+            if field.is_zero:
+                continue
+            budget = degree - factor.total_degree() - gdeg
+            for mono in monomials_up_to(context, max(budget, 0)):
+                scaled = field.scale(Polynomial.monomial(context, mono, Fraction(1)) * factor)
+                vec = _field_to_vector(scaled, column)
+                if vec is not None:
+                    rows.append(vec)
+        return rows
+
     # The distribution slice: monomial multiples of the generators that stay
     # within coefficient degree d.
-    d_rows: list[linalg.Sparse] = []
-    for field, gdeg in zip(distribution, gen_degrees):
-        if field.is_zero:
-            continue
-        for mono in monomials_up_to(context, max(d - gdeg, 0)):
-            scaled = field.scale(Polynomial.monomial(context, mono, Fraction(1)))
-            vec = _field_to_vector(scaled, low)
-            if vec is not None:
-                d_rows.append(vec)
-    d_basis, _ = linalg.rref(d_rows)
+    d_basis, _ = linalg.rref(multiples(Polynomial.constant(context, 1), d, low))
 
     # Ideal multiples, generated with headroom then cut back to the slice.
     # Monomials of degree > d (those past monos, which ascends in grevlex)
@@ -194,17 +203,7 @@ def is_regular_integral(
     big.update({key: cut + col for key, col in low.items()})
     id_rows: list[linalg.Sparse] = []
     for gb_elem in ideal.groebner_basis():
-        for field, gdeg in zip(distribution, gen_degrees):
-            if field.is_zero:
-                continue
-            budget = d + slack - gb_elem.total_degree() - gdeg
-            for mono in monomials_up_to(context, max(budget, 0)):
-                scaled = field.scale(
-                    Polynomial.monomial(context, mono, Fraction(1)) * gb_elem
-                )
-                vec = _field_to_vector(scaled, big)
-                if vec is not None:
-                    id_rows.append(vec)
+        id_rows.extend(multiples(gb_elem, d + slack, big))
     # Intersect with the slice.  With the coordinates of degree > d first,
     # the RREF rows pivoting past them vanish there and span
     # span ∩ {high = 0} (any other row's weight in such a vector is the

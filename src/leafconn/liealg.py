@@ -48,7 +48,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg
 from .linalg import Sparse, _exact
-from .tensors import _wedge_terms, merge_sign
+from .tensors import _signed_sum, _wedge_terms, merge_sign
 
 Vec = list[Fraction]
 IndexTuple = tuple[int, ...]
@@ -368,24 +368,16 @@ class ChainElement:
         return hash((id(self.algebra), frozenset(self.components.items())))
 
     def __str__(self) -> str:
-        if not self.components:
-            return "0"
-        chunks = []
+        terms = []
         for idx, coeff in self.items():
             blade = " ^ ".join(self.algebra.labels[i] for i in idx) if idx else "1"
             if coeff == 1:
-                term = blade
+                terms.append(blade)
             elif coeff == -1:
-                term = f"-{blade}"
+                terms.append(f"-{blade}")
             else:
-                term = f"{coeff}*{blade}"
-            if not chunks:
-                chunks.append(term)
-            elif term.startswith("-"):
-                chunks.append(f"- {term[1:]}")
-            else:
-                chunks.append(f"+ {term}")
-        return " ".join(chunks)
+                terms.append(f"{coeff}*{blade}")
+        return _signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"ChainElement({self})"

@@ -91,12 +91,6 @@ def _check_dense(rows: Sequence[Sequence[Fraction]], width: Optional[int] = None
         raise ValueError(f"matrix rows have length {widths.pop()}, expected {width}")
 
 
-def _cells(given: Sparse) -> Sparse:
-    """The nonzero cells of ``given`` after checking them."""
-    _check_cells(given.values())
-    return {j: x for j, x in given.items() if x}
-
-
 def _row(given: Sparse) -> tuple[dict[int, int], int, int]:
     """``(ints, num, den)`` with ``given == ints * num / den`` and ``ints``
     primitive (empty for a zero row)."""
@@ -209,10 +203,9 @@ def residue(vec: Sparse, reduced: Sequence[Sparse], pivots: list[int]) -> Sparse
     if len(pivots) != len(reduced):
         raise ValueError(f"{len(pivots)} pivots for {len(reduced)} reduced rows")
     _shape([vec])
-    cells = _cells(vec)
     rows = dict(zip(pivots, reduced))
     # clearing never adds a pivot column: read only the rows it uses
-    row, num, den = _residue(cells, {c: _row(rows[c])[0] for c in cells if c in rows})
+    row, num, den = _residue(vec, {c: _row(rows[c])[0] for c in vec if c in rows})
     return {j: Fraction(v * num, den) for j, v in row.items()}
 
 
@@ -243,8 +236,7 @@ def solve(rows: Sequence[Sparse], rhs: Sparse) -> Sparse | None:
     _shape([rhs], len(rows))
     # one column past every column in use: the augmented column
     aug = max((max(row) for row in rows if row), default=-1) + 1
-    b = _cells(rhs)
-    reduced = _echelon({**row, aug: b[i]} if i in b else row for i, row in enumerate(rows))
+    reduced = _echelon({**row, aug: rhs[i]} if i in rhs else row for i, row in enumerate(rows))
     if aug in reduced:
         return None
     return {col: Fraction(row[aug], row[col]) for col, row in reduced.items() if aug in row}

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
+from .derivations import preserves_ideal
 from .ideals import Ideal
 from .poly import ContextMismatch, Polynomial, VarContext
 from .tensors import (
@@ -124,17 +125,15 @@ class PoissonStructure:
     def is_integral_ideal(self, ideal: Ideal) -> bool:
         """Whether every Hamiltonian field maps the ideal into itself.
 
-        By the Leibniz rule this reduces to the finitely many memberships
-        {x_i, g} in I over coordinates x_i and generators g.
+        By the Leibniz rule this reduces to the coordinate fields X_{x_i}
+        each preserving the ideal.
         """
         if ideal.context != self.context:
             raise ContextMismatch("ideal context does not match the Poisson context")
-        for g in ideal.generators:
-            for i in range(len(self.context)):
-                xi = Polynomial.variable(self.context, i)
-                if not ideal.normal_form(self.poisson_bracket(xi, g)).is_zero:
-                    return False
-        return True
+        return all(
+            preserves_ideal(self.hamiltonian_field(Polynomial.variable(self.context, i)), ideal)
+            for i in range(len(self.context))
+        )
 
     def __repr__(self) -> str:
         return f"PoissonStructure({self.bivector})"

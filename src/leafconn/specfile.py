@@ -282,7 +282,10 @@ class _SpecParser:
             "lie_algebra": self.on_algebra,
             "query": self.on_query,
         }[kind]
-        handler(name, text, line)
+        try:
+            handler(name, text, line)
+        except ParseError as exc:
+            raise SpecFileError(str(exc), line) from None
 
     def on_variables(self, name: Optional[str], text: str, line: int) -> None:
         for part in text.split(","):
@@ -309,23 +312,20 @@ class _SpecParser:
             )
         if (i, j) in self.bivector_entries:
             raise SpecFileError(f"duplicate bivector component {lhs!r}", line)
-        self.bivector_entries[(i, j)] = self.poly(rhs, line)
+        self.bivector_entries[(i, j)] = parse_polynomial(rhs, ctx)
 
     def on_ideal(self, name: Optional[str], text: str, line: int) -> None:
-        self.doc.ideals[name].append(self.poly(text, line))
+        self.doc.ideals[name].append(parse_polynomial(text, self.context(line)))
 
     def on_tensor(self, name: Optional[str], text: str, line: int) -> None:
         kind = self.section[0]
         ctx = self.context(line)
-        try:
-            if kind == "multivector":
-                term = parse_multivector(text, ctx)
-                store = self.doc.multivectors
-            else:
-                term = parse_form(text, ctx)
-                store = self.doc.forms
-        except ParseError as exc:
-            raise SpecFileError(str(exc), line) from None
+        if kind == "multivector":
+            term = parse_multivector(text, ctx)
+            store = self.doc.multivectors
+        else:
+            term = parse_form(text, ctx)
+            store = self.doc.forms
         if name in store:
             try:
                 store[name] = store[name] + term
@@ -392,12 +392,6 @@ class _SpecParser:
             if not _IDENT_RE.match(value):
                 raise SpecFileError(f"expected a name, got {value!r}", line)
             query.options[key] = value
-
-    def poly(self, text: str, line: int) -> Polynomial:
-        try:
-            return parse_polynomial(text, self.context(line))
-        except ParseError as exc:
-            raise SpecFileError(str(exc), line) from None
 
     def finish_section(self) -> None:
         if self.section is None:

@@ -81,6 +81,19 @@ def _wedge_terms(out: dict[IndexTuple, Scalar], left: Mapping, right: Mapping, s
                 _accumulate(out, merged, c1 * c2 if s == sign else -(c1 * c2))
 
 
+def _signed_sum(terms: list[str]) -> str:
+    """Printed terms joined as ``a - b + c``, or ``0`` when there are none."""
+    chunks: list[str] = []
+    for term in terms:
+        if not chunks:
+            chunks.append(term)
+        elif term.startswith("-"):
+            chunks.append(f"- {term[1:]}")
+        else:
+            chunks.append(f"+ {term}")
+    return " ".join(chunks) or "0"
+
+
 def _odd_partials(components: Mapping[IndexTuple, Polynomial]) -> dict[int, dict[IndexTuple, Polynomial]]:
     """The derivatives d/dxi_j from the left in the odd variables: index j at
     0-based position m of a blade gives (-1)^m coeff on the rest.  This is
@@ -130,6 +143,14 @@ class _GradedTensor:
             if not coeff.is_zero:
                 clean[indices] = coeff
         self._components = clean
+
+    @classmethod
+    def zero(cls, context: VarContext, grade: int = 0) -> "_GradedTensor":
+        return cls(context, grade)
+
+    @classmethod
+    def from_scalar(cls, value: Polynomial) -> "_GradedTensor":
+        return cls(value.context, 0, {(): value})
 
     # -- linear structure --------------------------------------------------
 
@@ -213,9 +234,7 @@ class _GradedTensor:
         return " ^ ".join(self._basis_format.format(self.context.names[i]) for i in indices)
 
     def __str__(self) -> str:
-        if not self._components:
-            return "0"
-        chunks: list[str] = []
+        printed: list[str] = []
         for indices, coeff in self.components():
             if not indices:
                 term = str(coeff)
@@ -231,13 +250,8 @@ class _GradedTensor:
                         term = f"{coeff} * {blade}"
                 else:
                     term = f"({coeff}) * {blade}"
-            if not chunks:
-                chunks.append(term)
-            elif term.startswith("-"):
-                chunks.append(f"- {term[1:]}")
-            else:
-                chunks.append(f"+ {term}")
-        return " ".join(chunks)
+            printed.append(term)
+        return _signed_sum(printed)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -247,14 +261,6 @@ class MultivectorField(_GradedTensor):
     """A polynomial-coefficient multivector field (grade 0 = a function)."""
 
     _basis_format = "d/d{}"
-
-    @classmethod
-    def zero(cls, context: VarContext, grade: int = 0) -> "MultivectorField":
-        return cls(context, grade)
-
-    @classmethod
-    def from_scalar(cls, value: Polynomial) -> "MultivectorField":
-        return cls(value.context, 0, {(): value})
 
     @classmethod
     def basis_field(cls, context: VarContext, var: "int | str") -> "MultivectorField":
@@ -282,14 +288,6 @@ class DifferentialForm(_GradedTensor):
     """A polynomial-coefficient differential form (grade 0 = a function)."""
 
     _basis_format = "d{}"
-
-    @classmethod
-    def zero(cls, context: VarContext, grade: int = 0) -> "DifferentialForm":
-        return cls(context, grade)
-
-    @classmethod
-    def from_scalar(cls, value: Polynomial) -> "DifferentialForm":
-        return cls(value.context, 0, {(): value})
 
     @classmethod
     def basis_covector(cls, context: VarContext, var: "int | str") -> "DifferentialForm":

@@ -883,3 +883,19 @@ def ref_schouten_bracket(u: MultivectorField, v: MultivectorField) -> Multivecto
                             term = coeff * leftover * (prefactor * pair_sign * rest_sign * sign)
                             out[merged] = out[merged] + term if merged in out else term
     return MultivectorField(context, p + q - 1, out)
+
+
+# -- reference integrality test ---------------------------------------------------
+# The loop PoissonStructure.is_integral_ideal ran before it asked
+# derivations.preserves_ideal of each coordinate Hamiltonian field: every
+# bracket {x_i, g} of a coordinate with a generator is reduced by the ideal.
+# Kept as a differential oracle.
+
+
+def ref_is_integral_ideal(poisson, ideal: Ideal) -> bool:
+    for g in ideal.generators:
+        for i in range(len(poisson.context)):
+            xi = Polynomial.variable(poisson.context, i)
+            if not ideal.normal_form(poisson.poisson_bracket(xi, g)).is_zero:
+                return False
+    return True

@@ -40,17 +40,48 @@ def test_report_to_stdout(capsys):
     assert captured.out.encode() == (DATA / "check_poisson.report").read_bytes()
 
 
-def test_module_entry_point():
-    # The child process imports the same leafconn as this one, installed or not.
+def child_env(**extra):
+    """The environment for a child process that imports the same leafconn as
+    this one, installed or not."""
     src = str(pathlib.Path(leafconn.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "leafconn.cli", "--spec", str(DATA / "char_class.spec")],
         capture_output=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == (DATA / "char_class.report").read_bytes()
+
+
+HASH_SEED_CHILD = """
+import pathlib, sys
+from leafconn.cli import main
+data, out = map(pathlib.Path, sys.argv[1:])
+for spec in sorted(data.glob("*.spec")):
+    print(spec.stem, main(["--spec", str(spec), "--out", str(out / (spec.stem + ".report"))]))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_golden_reports_do_not_depend_on_the_hash_seed(seed, tmp_path):
+    # One fresh interpreter per fixed PYTHONHASHSEED, so a dependence on set
+    # or dict-of-str order fails here instead of making other tests flaky.
+    proc = subprocess.run(
+        [sys.executable, "-c", HASH_SEED_CHILD, str(DATA), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=child_env(PYTHONHASHSEED=seed),
+    )
+    assert proc.returncode == 0, proc.stderr
+    specs = sorted(DATA.glob("*.spec"))
+    assert proc.stdout.splitlines() == [f"{spec.stem} 0" for spec in specs]
+    for spec in specs:
+        assert (tmp_path / f"{spec.stem}.report").read_bytes() == spec.with_suffix(".report").read_bytes()
 
 
 def test_jacobi_failure_sets_exit_code(tmp_path):

@@ -112,6 +112,22 @@ def test_is_integral_ideal():
     assert not CANONICAL.is_integral_ideal(line)
 
 
+def test_is_integral_ideal_matches_the_bracket_loop():
+    # Jacobi is not needed: both sides only read brackets of coordinates.
+    rng = random.Random(124)
+    verdicts = []
+    for _ in range(40):
+        ctx = rng.choice([CTX, CTX3])
+        pi = PoissonStructure(support.rand_multivector(rng, ctx, 2))
+        n = len(ctx)
+        coordinates = [Polynomial.variable(ctx, i) for i in rng.sample(range(n), rng.randint(1, n))]
+        for ideal in (support.rand_binomial_ideal(rng, ctx, "grevlex"), Ideal(ctx, coordinates)):
+            verdict = pi.is_integral_ideal(ideal)
+            assert verdict == support.ref_is_integral_ideal(pi, ideal)
+            verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
 def test_plane_leaf_in_three_variables():
     pi = PoissonStructure(parse_multivector("d/dx ^ d/dy", CTX3))
     plane = Ideal(CTX3, [pp("z", CTX3)])

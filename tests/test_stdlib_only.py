@@ -1,7 +1,9 @@
-"""The library depends on the Python standard library alone."""
+"""Source checks: the library depends on the Python standard library alone,
+and every private name in it has a caller."""
 import ast
 import pathlib
 import sys
+from collections import Counter
 
 import leafconn
 
@@ -25,3 +27,51 @@ def test_library_imports_only_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def private_definitions(tree):
+    """``(name, node, is_method)`` for the module-level functions, classes
+    and constants with a leading ``_``, and the private methods: those with
+    a leading ``_`` and every method of a private class, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.startswith("_") and not _is_dunder(target.id):
+                    yield target.id, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or _is_dunder(item.name):
+                    continue
+                if item.name.startswith("_") or node.name.startswith("_"):
+                    yield item.name, item, True
+
+
+def reads(tree):
+    """``(is_attribute, name)`` for every name read in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield False, node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield True, node.attr
+
+
+def test_every_private_name_has_a_library_caller():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    everywhere = Counter(read for tree in trees.values() for read in reads(tree))
+    unused = set()
+    for module, tree in trees.items():
+        for name, node, is_method in private_definitions(tree):
+            # a method is called as an attribute; a read inside the
+            # definition itself is not a caller
+            kinds = (True,) if is_method else (False, True)
+            inside = Counter(reads(node))
+            if all(everywhere[kind, name] == inside[kind, name] for kind in kinds):
+                unused.add((module, name))
+    assert not unused
