@@ -222,10 +222,6 @@ class QuotientAlgebra:
         labels = tuple(g.labels[i] for i in self.positions)
         units = linalg.identity(g.dim)
         lifts = [units[a] for a in self.positions]
-        for row in ideal.rows:
-            for unit in lifts:
-                if any(self.project(g.bracket(row, unit))):
-                    raise RuntimeError("quotient bracket is not well defined")
         table = [[self.project(g.bracket(ua, ub)) for ub in lifts] for ua in lifts]
         self.algebra = LieAlgebraFD(labels, table)
 

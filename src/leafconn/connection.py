@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .ideals import Ideal
-from .poly import ContextMismatch, Polynomial
+from .poly import ContextMismatch, Polynomial, _point
 from .poisson import PoissonStructure
 from .tensors import (
     DifferentialForm,
@@ -76,16 +76,12 @@ class LeafContext:
         self.base_point: Optional[Point] = None
         if base_point is not None:
             self.base_point = self._validate_point(base_point)
-        self._tangent: Optional[list[MultivectorField]] = None
         # (point, grade) -> _quotient_data; the leaf is immutable after
         # __init__, so a race only recomputes the same value
         self._quotients: dict[tuple[Point, int], tuple] = {}
 
     def _validate_point(self, point: Sequence[Fraction | int]) -> Point:
-        n = len(self.context)
-        if len(point) != n:
-            raise ValueError(f"point has length {len(point)}, expected {n}")
-        pt = tuple(map(linalg._exact, point))
+        pt = _point(self.context, point)
         for g in self.ideal.generators:
             if g.evaluate(pt) != 0:
                 raise NotOnLeafError(f"generator {g} does not vanish at {point_str(pt)}")
@@ -104,12 +100,7 @@ class LeafContext:
 
     def tangent_generators(self) -> list[MultivectorField]:
         """The coordinate Hamiltonian fields X_{x_i}, i = 1..n."""
-        if self._tangent is None:
-            self._tangent = [
-                self.poisson.hamiltonian_field(Polynomial.variable(self.context, i))
-                for i in range(len(self.context))
-            ]
-        return list(self._tangent)
+        return list(self.poisson._coordinate_fields())
 
     def _resolve_point(self, at) -> Point:
         if at is not None:

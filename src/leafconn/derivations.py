@@ -41,12 +41,17 @@ def _field_coefficient_degree(field: MultivectorField) -> int:
     return max((c.total_degree() for _, c in field.components()), default=0)
 
 
-def preserves_ideal(field: MultivectorField, ideal: Ideal) -> bool:
-    """X(g) in I for every generator g — enough, by the Leibniz rule."""
+def _check_field(field: MultivectorField, ideal: Ideal) -> None:
+    """Raise unless ``field`` is a vector field (or zero) over the ideal's context."""
     if field.grade != 1 and not field.is_zero:
         raise GradeError("expected a vector field")
     if field.context != ideal.context:
         raise ContextMismatch("field and ideal contexts differ")
+
+
+def preserves_ideal(field: MultivectorField, ideal: Ideal) -> bool:
+    """X(g) in I for every generator g — enough, by the Leibniz rule."""
+    _check_field(field, ideal)
     if field.is_zero:
         return True
     return all(
@@ -56,10 +61,7 @@ def preserves_ideal(field: MultivectorField, ideal: Ideal) -> bool:
 
 def maps_into_ideal(field: MultivectorField, ideal: Ideal) -> bool:
     """Every coefficient of X lies in I (i.e. X(x_i) in I for all i)."""
-    if field.grade != 1 and not field.is_zero:
-        raise GradeError("expected a vector field")
-    if field.context != ideal.context:
-        raise ContextMismatch("field and ideal contexts differ")
+    _check_field(field, ideal)
     return all(ideal.normal_form(c).is_zero for _, c in field.components())
 
 

@@ -14,17 +14,16 @@ that reduced to zero, or the Koszul syzygy of a pair, which covers the
 pairs with coprime leads.  Otherwise its rewriter (of the elements whose
 signature divides it, the one whose multiple has the smallest lead, the
 latest on ties) is multiplied up and reduced regularly, only by multiples of
-smaller signature.  A multiple whose lead no element reduces regularly, and
-a remainder whose lead an element with the same index and ratio divides,
-are singular and add nothing.  These criteria see the syzygies that make
-most S-pairs reduce to zero, which no lcm test can.  One pass in ascending
-lead order keeps a minimal basis, and each survivor is tail-reduced against
-the others.  The result is monic and inter-reduced, so it is the unique
+smaller signature.  A multiple whose lead no element reduces regularly is
+singular and adds nothing.  These criteria see the syzygies that make most
+S-pairs reduce to zero, which no lcm test can.  One pass in ascending lead
+order keeps a minimal basis, and each survivor is tail-reduced against the
+others.  The result is monic and inter-reduced, so it is the unique
 reduced Gröbner basis for the ideal and the chosen monomial order, which
 makes ``normal_form`` canonical and ``contains`` decidable.
 
-Inputs and outputs are exact ``Fraction`` polynomials, but division and
-S-polynomials run fraction-free on the primitive integer forms that each
+Inputs and outputs are exact ``Fraction`` polynomials, but division runs
+fraction-free on the primitive integer forms that each
 :class:`~leafconn.poly.Polynomial` caches: integer pseudo-division with the
 content cancelled and one rational scale tracked beside the work.  The
 integer work is always a nonzero multiple of the exact work, so every step,
@@ -44,7 +43,7 @@ from math import gcd
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .poly import MONOMIAL_ORDERS, ContextMismatch, Polynomial, VarContext, _accumulate, _from_clean
+from .poly import MONOMIAL_ORDERS, ContextMismatch, Polynomial, VarContext, _from_clean
 
 Exponent = tuple[int, ...]
 
@@ -142,27 +141,13 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key, *, sign
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    """``x^a f / lc(f) - x^b g / lc(g)`` with ``x^a lm(f) = x^b lm(g)`` the lcm,
-    built on the integer forms as ``(lc_g x^a f_int - lc_f x^b g_int) / (lc_f lc_g)``."""
-    f_exp, _ = f.leading_term(key)
-    g_exp, _ = g.leading_term(key)
-    f_ints, _ = f._primitive()
-    g_ints, _ = g._primitive()
-    lc_f, lc_g = f_ints[f_exp], g_ints[g_exp]
+    """``x^a f / lc(f) - x^b g / lc(g)`` with ``x^a lm(f) = x^b lm(g)`` the lcm."""
+    f_exp, f_coeff = f.leading_term(key)
+    g_exp, g_coeff = g.leading_term(key)
     lcm = _exp_lcm(f_exp, g_exp)
-    a, b = _exp_sub(lcm, f_exp), _exp_sub(lcm, g_exp)
-    ints = {tuple(map(add, e, a)): lc_g * c for e, c in f_ints.items()}
-    for e, c in g_ints.items():
-        _accumulate(ints, tuple(map(add, e, b)), -lc_f * c)  # drops the cancelled lcm term
-    if not ints:
-        return Polynomial.zero(f.context)
-    # The content takes the sign of lc_f * lc_g, so the scale is positive
-    # as in Polynomial._primitive.
-    content = gcd(*ints.values()) if lc_f * lc_g > 0 else -gcd(*ints.values())
-    if content != 1:
-        ints = {e: c // content for e, c in ints.items()}
-    scale = Fraction(content, lc_f * lc_g)
-    return _from_clean(f.context, {e: c * scale for e, c in ints.items()}, (ints, scale))
+    f_factor = Polynomial.monomial(f.context, _exp_sub(lcm, f_exp), 1 / f_coeff)
+    g_factor = Polynomial.monomial(g.context, _exp_sub(lcm, g_exp), 1 / g_coeff)
+    return f_factor * f - g_factor * g
 
 
 def _add_minimal(monomials: list[Exponent], t: Exponent) -> None:
@@ -233,15 +218,11 @@ def buchberger(generators: Sequence[Polynomial], key) -> list[Polynomial]:
             _add_minimal(syzygies[i], t)
             continue
         lead = remainder.leading_term(key)[0]
-        ratio = (tuple(map(sub, mono, lead)), i)
-        # Singular: an element with the same ratio and index has a lead dividing this one.
-        if any(r == ratio and _divides(leads[h], lead) for h, r in enumerate(ratios)):
-            continue
         new = len(basis)
         basis.append(_monic(remainder, key))
         leads.append(lead)
         multipliers.append(t)
-        ratios.append(ratio)
+        ratios.append((tuple(map(sub, mono, lead)), i))
         for k in range(new):
             # The larger side of the Koszul syzygy lead_k * new - lead * k is a
             # syzygy; the larger side of the S-pair is queued unless a known one divides it.

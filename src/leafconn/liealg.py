@@ -278,6 +278,17 @@ class LieModuleFD:
         return out
 
 
+def _blade(idx: Sequence[int], grade: int, dim: int) -> IndexTuple:
+    """``idx`` as a tuple, after checking that it is an increasing blade of
+    ``grade`` indices below ``dim``."""
+    idx = tuple(idx)
+    if len(idx) != grade or any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"bad blade {idx!r} for grade {grade}")
+    if any(not 0 <= i < dim for i in idx):
+        raise ValueError(f"blade {idx!r} out of range")
+    return idx
+
+
 class ChainElement:
     """An element of the exterior algebra on the Lie algebra basis."""
 
@@ -288,11 +299,7 @@ class ChainElement:
             raise ValueError("negative grade")
         clean: dict[IndexTuple, Fraction] = {}
         for idx, coeff in dict(components).items():
-            idx = tuple(idx)
-            if len(idx) != grade or any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"bad blade {idx!r} for grade {grade}")
-            if any(not 0 <= i < algebra.dim for i in idx):
-                raise ValueError(f"blade {idx!r} out of range")
+            idx = _blade(idx, grade, algebra.dim)
             coeff = _exact(coeff)
             if coeff:
                 clean[idx] = coeff
@@ -519,11 +526,7 @@ class CochainCE:
             raise ValueError("negative grade")
         clean: dict[IndexTuple, tuple[Fraction, ...]] = {}
         for idx, value in dict(components).items():
-            idx = tuple(idx)
-            if len(idx) != grade or any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"bad blade {idx!r} for grade {grade}")
-            if any(not 0 <= i < algebra.dim for i in idx):
-                raise ValueError(f"blade {idx!r} out of range")
+            idx = _blade(idx, grade, algebra.dim)
             vec = tuple(_exact(c) for c in value)
             if len(vec) != module.dim:
                 raise ValueError("component value has wrong module dimension")

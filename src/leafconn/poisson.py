@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .derivations import preserves_ideal
 from .ideals import Ideal
-from .poly import ContextMismatch, Polynomial, VarContext
+from .poly import ContextMismatch, Polynomial, _point
 from .tensors import (
     DifferentialForm,
     GradeError,
@@ -55,6 +55,7 @@ class PoissonStructure:
         self.bivector = bivector
         self.context = bivector.context
         self._defect: Optional[MultivectorField] = None
+        self._fields: Optional[list[MultivectorField]] = None
         self._lock = threading.Lock()
 
     # -- Jacobi bookkeeping ------------------------------------------------
@@ -110,10 +111,8 @@ class PoissonStructure:
 
     def rank_at(self, point: Sequence[Fraction | int]) -> int:
         """Rank of the evaluated bivector matrix at a rational point (even)."""
+        pt = _point(self.context, point)
         n = len(self.context)
-        if len(point) != n:
-            raise ValueError(f"point has length {len(point)}, expected {n}")
-        pt = list(map(linalg._exact, point))
         rows: list[linalg.Sparse] = [{} for _ in range(n)]
         for (i, j), coeff in self.bivector.components():
             value = coeff.evaluate(pt)
@@ -121,6 +120,16 @@ class PoissonStructure:
                 rows[i][j] = value
                 rows[j][i] = -value
         return linalg.rank(rows)
+
+    def _coordinate_fields(self) -> list[MultivectorField]:
+        """The coordinate Hamiltonian fields X_{x_i}, built on first use."""
+        # the bivector never changes, so a race only builds the same list twice
+        if self._fields is None:
+            self._fields = [
+                self.hamiltonian_field(Polynomial.variable(self.context, i))
+                for i in range(len(self.context))
+            ]
+        return self._fields
 
     def is_integral_ideal(self, ideal: Ideal) -> bool:
         """Whether every Hamiltonian field maps the ideal into itself.
@@ -130,10 +139,7 @@ class PoissonStructure:
         """
         if ideal.context != self.context:
             raise ContextMismatch("ideal context does not match the Poisson context")
-        return all(
-            preserves_ideal(self.hamiltonian_field(Polynomial.variable(self.context, i)), ideal)
-            for i in range(len(self.context))
-        )
+        return all(preserves_ideal(field, ideal) for field in self._coordinate_fields())
 
     def __repr__(self) -> str:
         return f"PoissonStructure({self.bivector})"

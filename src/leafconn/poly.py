@@ -9,11 +9,13 @@ Monomial orders are plain key functions on exponent tuples; ``grevlex`` is
 the default everywhere and is also the order used for canonical printing.
 
 Coefficients are ``int`` or ``Fraction`` only; anything else (floats,
-strings) is a ``TypeError``.  The public constructor validates every input;
-arithmetic results, whose term maps are clean by construction, go through
-the module-private ``_from_clean``.  Each polynomial memoizes its leading
-term per order and its primitive integer form (see ``_primitive``), which
-the Gröbner code in :mod:`leafconn.ideals` divides with.
+strings) is a ``TypeError`` from ``linalg._exact``, the package's one
+exactness gate.  The public constructor validates every input, and
+``_point`` checks every point; arithmetic results, whose term maps are
+clean by construction, go through the module-private ``_from_clean``.
+Each polynomial memoizes its leading term per order and its primitive
+integer form (see ``_primitive``), which the Gröbner code in
+:mod:`leafconn.ideals` divides with.
 """
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import neg
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from .linalg import _exact
 
 Coeff = Union[Fraction, int]
 Exponent = tuple[int, ...]
@@ -103,20 +107,21 @@ def _accumulate(terms: dict[Exponent, Fraction], exponent: Exponent, coeff: Frac
         terms.pop(exponent, None)
 
 
-def _check_coeff(value) -> None:
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__} {value!r}")
-
-
-def _from_clean(context: VarContext, terms: dict[Exponent, Fraction], primitive=None) -> "Polynomial":
+def _from_clean(context: VarContext, terms: dict[Exponent, Fraction]) -> "Polynomial":
     """A polynomial owning ``terms``, which must already map valid exponent
-    tuples to nonzero ``Fraction``s; nothing is checked or copied.  A caller
-    that knows the primitive integer form passes it to seed the memo."""
+    tuples to nonzero ``Fraction``s; nothing is checked or copied."""
     p = object.__new__(Polynomial)
     p.context = context
     p._terms = terms
-    p._memo = None if primitive is None else {None: primitive}
+    p._memo = None
     return p
+
+
+def _point(context: VarContext, point: Sequence[Coeff]) -> tuple[Fraction, ...]:
+    """``point`` as a tuple of exact coordinates, one per context variable."""
+    if len(point) != len(context):
+        raise ValueError(f"point has length {len(point)}, expected {len(context)}")
+    return tuple(map(_exact, point))
 
 
 def _check_same_context(a: "Polynomial", b: "Polynomial") -> None:
@@ -143,8 +148,7 @@ class Polynomial:
             exponent = tuple(exponent)
             if len(exponent) != n or any(e < 0 or not isinstance(e, int) for e in exponent):
                 raise ValueError(f"bad exponent vector {exponent!r} for {context!r}")
-            _check_coeff(coeff)
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 clean[exponent] = coeff
         self._terms = clean
@@ -287,6 +291,9 @@ class Polynomial:
         return self.context == other.context and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its value (see __eq__), so it hashes as that value.
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash((self.context, frozenset(self._terms.items())))
 
     def _coerce(self, other: "Polynomial | Coeff") -> "Polynomial":
@@ -311,11 +318,7 @@ class Polynomial:
         return _from_clean(self.context, terms)
 
     def evaluate(self, point: Sequence[Coeff]) -> Fraction:
-        if len(point) != len(self.context):
-            raise ValueError(f"point has {len(point)} coordinates, context expects {len(self.context)}")
-        for v in point:
-            _check_coeff(v)
-        values = [Fraction(v) for v in point]
+        values = _point(self.context, point)
         total = Fraction(0)
         for exponent, coeff in self._terms.items():
             term = coeff

@@ -257,6 +257,50 @@ def test_char_class_zero_row_is_rejected(ideal, tmp_path):
     assert "error = ideal basis vectors must be linearly independent" in text
 
 
+LEAF_SPEC = (
+    "[variables]\nx, y\n\n[bivector]\nx ^ y = x\n\n[ideal origin]\nx\ny\n\n"
+    "[form a]\ndy\n\n[form nil]\n0*dx\n\n[multivector s]\nd/dx\n\n[multivector f]\nx\n\n"
+)
+HEIS_SPEC = "[lie_algebra heis]\nbasis = e, f, h\n[e, f] = h\n\n"
+
+
+@pytest.mark.parametrize(
+    "body, code, line",
+    [
+        (LEAF_SPEC + "[query schouten]\nleft = s\nright = nope\n", 2, "error = unknown multivector 'nope'"),
+        (
+            LEAF_SPEC + "[query leaf-connection]\nideal = origin\nalpha = nope\nsection = s\npoint = 0, 0\n",
+            2,
+            "error = unknown form 'nope'",
+        ),
+        (HEIS_SPEC + "[query lie-homology]\nalgebra = nope\n", 2, "error = unknown lie_algebra 'nope'"),
+        (
+            "[lie_algebra g]\nbasis = a, b, c\n[a, b] = a\n[a, c] = b\n\n[query lie-homology]\nalgebra = g\n",
+            2,
+            "error = lie_algebra 'g': Jacobi identity fails on (a, b, c)",
+        ),
+        (
+            LEAF_SPEC + "[query leaf-connection]\nideal = origin\nalpha = a\nsection = f\npoint = 0, 0\n",
+            2,
+            "error = expected a section of grade at least 1",
+        ),
+        (HEIS_SPEC + "[query char-class]\nalgebra = heis\nideal = q\n", 2, "error = line 5: unknown basis label 'q'"),
+        (
+            LEAF_SPEC + "[query leaf-connection]\nideal = origin\nalpha = nil\nsection = s\npoint = 0, 0\n",
+            0,
+            "class_at_point = 0",
+        ),
+    ],
+    ids=["multivector", "form", "lie-algebra", "jacobi", "grade-0-section", "basis-label", "zero-form"],
+)
+def test_query_outcomes(body, code, line, tmp_path):
+    spec = tmp_path / "query.spec"
+    spec.write_text(body)
+    got, report = run_to_file(spec, tmp_path)
+    assert got == code
+    assert line + "\n" in report.decode().splitlines(keepends=True)
+
+
 def test_report_values_parse_back():
     text = (DATA / "flat_sections.report").read_text()
     values = dict(

@@ -192,6 +192,36 @@ def test_inexact_query_point_rejected(bad):
         TransversalVector(leaf, mv("d/dz", CTX3)).class_at((0, bad, 0))
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        lambda point: (pp("x") + pp("y")).evaluate(point),
+        lambda point: PoissonStructure(mv("x * d/dx ^ d/dy")).rank_at(point),
+        lambda point: LeafContext(PoissonStructure(mv("x * d/dx ^ d/dy")), Ideal(CTX, [pp("x")]), base_point=point),
+    ],
+    ids=["evaluate", "rank_at", "base_point"],
+)
+def test_one_point_gate(gate):
+    with pytest.raises(ValueError, match=r"^point has length 3, expected 2$"):
+        gate((0, 0, 0))
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction, got float 0.5"):
+        gate((0, 0.5))
+
+
+def test_coordinate_fields_are_built_once(monkeypatch):
+    built = []
+    hamiltonian_field = PoissonStructure.hamiltonian_field
+
+    def counting(self, f):
+        built.append(f)
+        return hamiltonian_field(self, f)
+
+    monkeypatch.setattr(PoissonStructure, "hamiltonian_field", counting)
+    leaf = plane_leaf()
+    flat_sections_at_point(leaf)
+    assert built == [pp(name, CTX3) for name in ("x", "y", "z")]
+
+
 def test_non_integral_ideal_rejected():
     pi = PoissonStructure(mv("d/dx ^ d/dy"))
     with pytest.raises(ValueError):

@@ -419,7 +419,7 @@ def test_integer_division_matches_exact_reference(order):
             f, g = rng.choice(divisors), rng.choice(divisors)
             s = s_polynomial(f, g, key)
             assert str(s) == str(support.ref_s_polynomial(f, g, key))
-            # The primitive form seeded by s_polynomial is the recomputed one.
+            # The memo of an S-polynomial holds the form a fresh polynomial computes.
             assert s._primitive() == Polynomial(ctx, dict(s.terms()))._primitive()
             expected = support.ref_normal_form_against(s, divisors, key)
             assert str(normal_form_against(s, divisors, key)) == str(expected)

@@ -173,6 +173,15 @@ def test_inexact_coefficients_are_rejected(bad):
             combine()
 
 
+@pytest.mark.parametrize("value", [0, 3, -2, Fraction(1, 2)])
+def test_constants_hash_as_their_value(value):
+    p = Polynomial.constant(CTX, value)
+    assert p == value
+    assert hash(p) == hash(value)
+    assert value in {p}
+    assert p in {value}
+
+
 def test_memo_is_per_order_and_invisible_to_equality():
     p = Polynomial(CTX, {(1, 0): Fraction(-3, 2), (0, 2): Fraction(5, 4)})
     fresh = Polynomial(CTX, {(1, 0): Fraction(-3, 2), (0, 2): Fraction(5, 4)})
