@@ -121,7 +121,7 @@ def der_I_basis(ideal: Ideal, degree_bound: int) -> list[MultivectorField]:
     partials = [[g.partial(i) for g in ideal.generators] for i in range(len(context))]
     # unknown i * len(monos) + m is the coefficient of monos[m] * d/dx_i
     columns = [
-        [Polynomial.monomial(context, mono, Fraction(1)) * dg for dg in partials[i]]
+        [dg._shift(mono) for dg in partials[i]]
         for i in range(len(context))
         for mono in monos
     ]
@@ -185,7 +185,7 @@ def is_regular_integral(
                 continue
             budget = degree - factor.total_degree() - gdeg
             for mono in monomials_up_to(context, max(budget, 0)):
-                scaled = field.scale(Polynomial.monomial(context, mono, Fraction(1)) * factor)
+                scaled = field.scale(factor._shift(mono))
                 vec = _field_to_vector(scaled, column)
                 if vec is not None:
                     rows.append(vec)

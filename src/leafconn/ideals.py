@@ -24,11 +24,20 @@ makes ``normal_form`` canonical and ``contains`` decidable.
 
 Inputs and outputs are exact ``Fraction`` polynomials, but division runs
 fraction-free on the primitive integer forms that each
-:class:`~leafconn.poly.Polynomial` caches: integer pseudo-division with the
-content cancelled and one rational scale tracked beside the work.  The
-integer work is always a nonzero multiple of the exact work, so every step,
-and the remainder, is the one exact division gives.  Each step's leading
-work term is the last entry of an ascending list of order keys.
+:class:`~leafconn.poly.Polynomial` caches: integer pseudo-division with one
+rational scale tracked beside the work, rescaled in place, and the content
+cancelled lazily (once the lead multipliers since the last cancellation
+pass ``_CONTENT_BITS`` bits, and at the end).  The integer work is always a
+nonzero multiple of the exact work, so every step, and the remainder, is
+the one exact division gives; the remainder comes back with its primitive
+form and lead already memoized.  Each step's leading work term is the last
+entry of an ascending list of order keys.  Only divisors whose lead's
+support bitmask lies inside the term's are tested for divisibility, and the
+exponents of each multiple ``x^u * g`` are memoized on ``g``, so a repeated
+(divisor, shift) pair is not rebuilt.  Completion multiplies its rewriters
+up with the same shift (``Polynomial._shift``), which keeps their
+coefficients and primitive form, and makes each new element monic from its
+primitive form, so it forms no ``Fraction`` products.
 
 An :class:`Ideal` is immutable; the basis is computed once on first use
 (thread-safe via a lock) and cached.
@@ -43,7 +52,7 @@ from math import gcd
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .poly import MONOMIAL_ORDERS, ContextMismatch, Polynomial, VarContext, _from_clean
+from .poly import MONOMIAL_ORDERS, ContextMismatch, Polynomial, VarContext, _from_primitive, _point
 
 Exponent = tuple[int, ...]
 
@@ -61,8 +70,29 @@ def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
 
 
 def _monic(p: Polynomial, key) -> Polynomial:
-    _, coeff = p.leading_term(key)
-    return p * (Fraction(1) / coeff)
+    """``p`` divided by its leading coefficient, read off its primitive form."""
+    lead, _ = p.leading_term(key)
+    ints, _ = p._primitive()
+    lc = ints[lead]
+    if lc < 0:
+        ints = {e: -v for e, v in ints.items()}
+    monic = _from_primitive(p.context, ints, Fraction(1, abs(lc)))
+    monic._memo[key] = (lead, monic._terms[lead])
+    return monic
+
+
+def _support(exponent: Exponent) -> int:
+    """The bitmask of the variables that occur in ``exponent``."""
+    mask = 0
+    for i, e in enumerate(exponent):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+# The work's content is cancelled once the lead multipliers since the last
+# cancellation have grown it by more than this many bits, and at the end.
+_CONTENT_BITS = 64
 
 
 def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key, *, signature=None) -> Polynomial:
@@ -77,20 +107,31 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key, *, sign
     signature ``(key(a + rho), i)``, and the divisor is admitted only when
     that signature is strictly below ``bound`` (a regular reduction).
 
-    The division runs on primitive integer forms: the exact work is always
-    ``scale * work``.  Each step multiplies the work by ``lc_g / d`` and
-    subtracts ``(c / d) * x^shift * g_int`` (``d = gcd(c, lc_g)``), which is
-    the exact step up to that nonzero factor, so every step selects the
-    same term and divisor as exact division would.  When the scale changed,
-    the content of the work moves into the scale.  A term that no admitted
-    divisor reduces leaves the work exactly, as ``c * scale``.
+    A lead can divide a term only when the lead's variables all occur in
+    the term, so each term's support bitmask picks, once per mask and in
+    basis order, the divisors whose leads are tested.  The exponents of
+    each multiple ``x^shift * g`` are memoized on ``g`` (see
+    ``Polynomial._shifted``), so a repeated (divisor, shift) pair is not
+    rebuilt.
+
+    The division runs on primitive integer forms: the exact work, with the
+    remainder terms found so far, is always ``scale / grown`` times the
+    integer terms.  Each step multiplies them in place by ``m = lc_g / d``
+    (and ``grown`` by ``m``) and subtracts ``(c / d) * x^shift * g_int``
+    (``d = gcd(c, lc_g)``), which is the exact step up to that nonzero
+    factor, so every step selects the same term and divisor as exact
+    division would.  Content is cancelled lazily, and only then does
+    ``scale`` absorb it and ``grown``: once ``grown`` exceeds
+    ``_CONTENT_BITS`` bits, and at the end, so the remainder comes back
+    with its primitive form in its memo.
     """
     ratios, bound = signature if signature is not None else ([None] * len(basis), None)
     divisors = []
     for g, ratio in zip(basis, ratios):
         g_exp, _ = g.leading_term(key)
         g_ints, _ = g._primitive()
-        divisors.append((g_exp, g_ints[g_exp], g_ints, ratio))
+        divisors.append((_support(g_exp), (g_exp, g_ints[g_exp], g, g_ints, ratio)))
+    by_support: dict[int, list] = {}
     ints, scale = p._primitive()
     work = dict(ints)
     # Each exponent's order key is computed once, when it enters the work.
@@ -100,13 +141,18 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key, *, sign
     keys = {e: key(e) for e in work}
     exponents = {k: e for e, k in keys.items()}
     pending = sorted(exponents)
-    remainder: dict[Exponent, Fraction] = {}
+    remainder: dict[Exponent, int] = {}
+    grown = 1  # the product of the multipliers since the last cancellation
     while pending:
         exponent = exponents[pending.pop()]
         c = work.get(exponent)
         if c is None:
             continue
-        for g_exp, lc, g_ints, ratio in divisors:
+        mask = _support(exponent)
+        candidates = by_support.get(mask)
+        if candidates is None:
+            candidates = by_support[mask] = [d for g_mask, d in divisors if g_mask & mask == g_mask]
+        for g_exp, lc, g, g_ints, ratio in candidates:
             # _divides, inlined in the hot loop, then the signature guard.
             if all(map(le, g_exp, exponent)) and (
                 ratio is None or (key(tuple(map(add, exponent, ratio[0]))), ratio[1]) < bound
@@ -114,12 +160,12 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key, *, sign
                 d = gcd(c, lc) if lc > 0 else -gcd(c, lc)
                 m, q = lc // d, c // d
                 if m != 1:
-                    work = {e: v * m for e, v in work.items()}
-                    scale /= m
-                shift = _exp_sub(exponent, g_exp)
+                    for terms in (work, remainder):
+                        for e, v in terms.items():
+                            terms[e] = v * m
+                    grown *= m
                 # m * c == q * lc, so the term at exponent cancels here.
-                for e, v in g_ints.items():
-                    e = tuple(map(add, e, shift))
+                for e, v in zip(g._shifted(_exp_sub(exponent, g_exp)), g_ints.values()):
                     v = work.get(e, 0) - q * v
                     if v:
                         work[e] = v
@@ -129,15 +175,27 @@ def normal_form_against(p: Polynomial, basis: Sequence[Polynomial], key, *, sign
                             insort(pending, k)
                     else:
                         del work[e]
-                if m != 1:
-                    content = gcd(*work.values())
+                if grown.bit_length() > _CONTENT_BITS:
+                    content = gcd(*work.values(), *remainder.values())
                     if content > 1:
-                        work = {e: v // content for e, v in work.items()}
-                        scale *= content
+                        for terms in (work, remainder):
+                            for e, v in terms.items():
+                                terms[e] = v // content
+                    scale *= Fraction(content, grown)
+                    grown = 1
                 break
         else:
-            remainder[exponent] = work.pop(exponent) * scale
-    return _from_clean(p.context, remainder)
+            remainder[exponent] = work.pop(exponent)
+    if not remainder:
+        return _from_primitive(p.context, remainder, Fraction(1))
+    content = gcd(*remainder.values())
+    if content > 1:
+        remainder = {e: v // content for e, v in remainder.items()}
+    r = _from_primitive(p.context, remainder, scale * Fraction(content, grown))
+    # Terms leave the work in descending order, so the first is the lead.
+    lead = next(iter(remainder))
+    r._memo[key] = (lead, r._terms[lead])
+    return r
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
@@ -210,7 +268,7 @@ def buchberger(generators: Sequence[Polynomial], key) -> list[Polynomial]:
             # A lead that no element reduces regularly makes t*e_i singular.
             if not any(_divides(leads[h], lead) and signature(lead, h) < bound for h in range(len(basis))):
                 continue
-            p = Polynomial.monomial(basis[k].context, tuple(map(sub, t, multipliers[k]))) * basis[k]
+            p = basis[k]._shift(tuple(map(sub, t, multipliers[k])))
         else:
             p = gens[i]
         remainder = normal_form_against(p, basis, key, signature=(ratios, bound))
@@ -293,10 +351,8 @@ class Ideal:
 
 def vanishing_ideal_of_point(context: VarContext, point: Sequence, order: str = "grevlex") -> Ideal:
     """The maximal ideal of polynomials vanishing at a rational point."""
-    if len(point) != len(context):
-        raise ValueError("point dimension does not match the context")
     generators = [
         Polynomial.variable(context, name) - Polynomial.constant(context, value)
-        for name, value in zip(context.names, point)
+        for name, value in zip(context.names, _point(context, point))
     ]
     return Ideal(context, generators, order)

@@ -12,16 +12,18 @@ Coefficients are ``int`` or ``Fraction`` only; anything else (floats,
 strings) is a ``TypeError`` from ``linalg._exact``, the package's one
 exactness gate.  The public constructor validates every input, and
 ``_point`` checks every point; arithmetic results, whose term maps are
-clean by construction, go through the module-private ``_from_clean``.
-Each polynomial memoizes its leading term per order and its primitive
-integer form (see ``_primitive``), which the Gröbner code in
-:mod:`leafconn.ideals` divides with.
+clean by construction, go through the module-private ``_from_clean``, or
+``_from_primitive`` when their primitive integer form is already known.
+Each polynomial memoizes its leading term per order, its primitive integer
+form (see ``_primitive``) and the exponents of its monomial multiples (see
+``_shifted``), which the Gröbner code in :mod:`leafconn.ideals` divides
+with; ``_shift`` multiplies by a monomial.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
+from operator import add, neg
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .linalg import _exact
@@ -117,6 +119,16 @@ def _from_clean(context: VarContext, terms: dict[Exponent, Fraction]) -> "Polyno
     return p
 
 
+def _from_primitive(context: VarContext, ints: dict[Exponent, int], scale: Fraction) -> "Polynomial":
+    """The polynomial ``scale * ints``, with ``(ints, scale)`` memoized as its
+    primitive form: ``ints`` must map valid exponent tuples to nonzero
+    integers whose gcd is 1, and ``scale`` must be positive."""
+    n, d = scale.numerator, scale.denominator
+    p = _from_clean(context, {e: Fraction(v * n, d) for e, v in ints.items()})
+    p._memo = {None: (ints, scale)}
+    return p
+
+
 def _point(context: VarContext, point: Sequence[Coeff]) -> tuple[Fraction, ...]:
     """``point`` as a tuple of exact coordinates, one per context variable."""
     if len(point) != len(context):
@@ -132,10 +144,14 @@ def _check_same_context(a: "Polynomial", b: "Polynomial") -> None:
 class Polynomial:
     """An immutable sparse polynomial attached to a :class:`VarContext`.
 
-    ``_memo`` caches values derived from the terms (leading terms, the
-    primitive integer form).  A polynomial never changes, so a cached value
-    is always the one a recomputation would give; the memo takes no part in
-    ``==`` or ``hash``.
+    ``_memo`` caches values derived from the terms: the leading term under
+    each order (keyed by the order's key function), the primitive integer
+    form (keyed by ``None``) and, for each shift ``u`` that division or
+    ``_shift`` asked for, the exponents of ``x^u * self`` (keyed by ``u``).
+    The primitive form's integers are listed in the order of the terms, so
+    a shift's exponents line up with both.  A polynomial never changes, so
+    a cached value is always the one a recomputation would give; the memo
+    takes no part in ``==`` or ``hash``.
     """
 
     __slots__ = ("context", "_terms", "_memo")
@@ -227,6 +243,22 @@ class Polynomial:
                 ints = {e: c // content for e, c in ints.items()}
             form = memo[None] = (ints, Fraction(content, den))
         return form
+
+    def _shifted(self, u: Exponent) -> list[Exponent]:
+        """The exponents of ``x^u * self``, in the order of the terms."""
+        memo = self._memo_dict()
+        exponents = memo.get(u)
+        if exponents is None:
+            exponents = memo[u] = [tuple(map(add, e, u)) for e in self._terms]
+        return exponents
+
+    def _shift(self, u: Exponent) -> "Polynomial":
+        """``x^u * self``: the same coefficients and primitive form, on shifted exponents."""
+        exponents = self._shifted(u)
+        ints, scale = self._primitive()
+        p = _from_clean(self.context, dict(zip(exponents, self._terms.values())))
+        p._memo = {None: (dict(zip(exponents, ints.values())), scale)}
+        return p
 
     def _memo_dict(self) -> dict:
         if self._memo is None:

@@ -16,7 +16,7 @@ from leafconn.connection import (
     flat_sections_at_point,
     is_flat_at_point,
 )
-from leafconn.ideals import Ideal
+from leafconn.ideals import Ideal, vanishing_ideal_of_point
 from leafconn.parse import parse_form, parse_multivector, parse_polynomial
 from leafconn.poisson import PoissonStructure
 from leafconn.poly import Polynomial, VarContext
@@ -198,8 +198,9 @@ def test_inexact_query_point_rejected(bad):
         lambda point: (pp("x") + pp("y")).evaluate(point),
         lambda point: PoissonStructure(mv("x * d/dx ^ d/dy")).rank_at(point),
         lambda point: LeafContext(PoissonStructure(mv("x * d/dx ^ d/dy")), Ideal(CTX, [pp("x")]), base_point=point),
+        lambda point: vanishing_ideal_of_point(CTX, point),
     ],
-    ids=["evaluate", "rank_at", "base_point"],
+    ids=["evaluate", "rank_at", "base_point", "vanishing_ideal"],
 )
 def test_one_point_gate(gate):
     with pytest.raises(ValueError, match=r"^point has length 3, expected 2$"):

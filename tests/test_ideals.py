@@ -426,6 +426,123 @@ def test_integer_division_matches_exact_reference(order):
 
     seen = _lines_run(normal_form_against, run)
     assert any(c < 0 for c in leads) and any(c > 0 and c != 1 for c in leads)
-    # The lead multiplier m = lc_g / gcd(c, lc_g) was not 1, and content was cancelled.
-    assert "work = {e: v * m for e, v in work.items()}" in seen
-    assert "work = {e: v // content for e, v in work.items()}" in seen
+    # The lead multiplier m = lc_g / gcd(c, lc_g) was not 1, the multipliers
+    # outgrew the content rule's bound, and content was cancelled in the loop
+    # as well as at the end.
+    assert "terms[e] = v * m" in seen
+    assert "content = gcd(*work.values(), *remainder.values())" in seen
+    assert "terms[e] = v // content" in seen
+    assert "remainder = {e: v // content for e, v in remainder.items()}" in seen
+
+
+def _remainder_form_is_fresh(r):
+    """The primitive form division memoized equals the one a fresh polynomial computes."""
+    return r._memo[None] == Polynomial(r.context, dict(r.terms()))._primitive()
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_repeated_division_reuses_shifts(order):
+    """Divisions that reuse the (divisor, shift) exponents an earlier division
+    memoized on the same divisor list still equal the exact reference."""
+    rng = random.Random(67)
+    key = MONOMIAL_ORDERS[order]
+    memoized = 0
+    for _ in range(30):
+        ctx = VarContext([f"x{i}" for i in range(rng.randint(2, 4))])
+        divisors = [_big_poly(rng, ctx, 2, rng.randint(2, 3)) for _ in range(rng.randint(2, 4))]
+        polys = [_big_poly(rng, ctx, 4, rng.randint(2, 5)) for _ in range(4)]
+        for p in polys + polys:
+            r = normal_form_against(p, divisors, key)
+            assert str(r) == str(support.ref_normal_form_against(p, divisors, key))
+            assert _remainder_form_is_fresh(r)
+            assert r.is_zero or r._memo[key] == Polynomial(ctx, dict(r.terms())).leading_term(key)
+        shifts = [(g, u) for g in divisors for u in g._memo if isinstance(u, tuple)]
+        assert all(g._shifted(u) == list(g._shift(u)._terms) for g, u in shifts)
+        memoized += len(shifts)
+    assert memoized > 0
+
+
+def test_support_mask_admits_only_dividing_leads():
+    """x^3's support lies inside x^2*y's, but x^3 does not divide it, so the
+    next divisor in basis order reduces the term."""
+    key = MONOMIAL_ORDERS["grevlex"]
+    divisors = [pp("x^3 - y"), pp("x*y - 1")]
+    p = pp("x^2*y + x^3")
+    assert str(normal_form_against(p, divisors, key)) == "x + y"
+    assert normal_form_against(p, divisors, key) == support.ref_normal_form_against(p, divisors, key)
+    assert str(normal_form_against(pp("x^2*y"), [pp("x^3")], key)) == "x^2*y"
+    assert str(normal_form_against(pp("x^2*y"), [pp("x^3"), pp("y - 2")], key)) == "2*x^2"
+
+
+def test_first_divisor_in_basis_order_wins():
+    """Two leads divide x*y; the earlier one, with the larger support, wins,
+    also after a term with the same support fixed the candidate list."""
+    ctx = support.XYZ
+    key = MONOMIAL_ORDERS["grevlex"]
+    divisors = [pp("x*y - z", ctx), pp("x - 1", ctx)]
+    assert str(normal_form_against(pp("x*y", ctx), divisors, key)) == "z"
+    assert str(normal_form_against(pp("x*y", ctx), divisors[::-1], key)) == "y"
+    p = pp("x^2*y^2 + x*y", ctx)
+    assert normal_form_against(p, divisors, key) == support.ref_normal_form_against(p, divisors, key)
+    assert str(normal_form_against(p, divisors, key)) == "z^2 + z"
+
+
+def _katsura(n):
+    ctx = VarContext([f"u{i}" for i in range(n + 1)])
+    u = [Polynomial.variable(ctx, i) for i in range(n + 1)]
+    zero = Polynomial.zero(ctx)
+
+    def big_u(m):
+        return u[abs(m)] if abs(m) <= n else zero
+
+    gens = [sum((big_u(k) * big_u(m - k) for k in range(-n, n + 1)), zero) - u[m] for m in range(n)]
+    return ctx, gens + [u[0] + 2 * sum(u[1:], zero) - 1]
+
+
+def _cyclic(n):
+    ctx = VarContext([f"x{i}" for i in range(n)])
+    x = [Polynomial.variable(ctx, i) for i in range(n)]
+    one = Polynomial.constant(ctx, 1)
+
+    def product(factors):
+        out = one
+        for f in factors:
+            out = out * f
+        return out
+
+    gens = [sum((product(x[(i + j) % n] for j in range(k)) for i in range(n)), Polynomial.zero(ctx)) for k in range(1, n)]
+    return ctx, gens + [product(x) - 1]
+
+
+# Digests of the reduced bases, one element per line, checked against
+# ``sympy.groebner``, which takes 13 s on katsura-6 and 20 s on cyclic-5.
+LONG_DIVISIONS = {
+    "katsura6-grevlex": (_katsura(6), "grevlex", "703913ebff6b414761b0176314f131891e81aeeefa085528f413d180a904ef92"),
+    "cyclic5-lex": (_cyclic(5), "lex", "d8958a05d0eff38c3f188151fb16883413c29dd024f77dc9ad65d9d7b7aacd7a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_DIVISIONS))
+def test_long_divisions_match_sympy(case):
+    """Completions whose divisions run long enough for the content rule to
+    fire: the basis is pinned, every generator reduces to zero, and normal
+    forms of dense 64-bit polynomials agree with sympy's division."""
+    rings = pytest.importorskip("sympy.polys.rings")
+    from sympy.polys.domains import QQ
+
+    (ctx, gens), order, digest = LONG_DIVISIONS[case]
+    ideal = Ideal(ctx, gens, order)
+    basis = ideal.groebner_basis()
+    assert hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest() == digest
+    assert all(ideal.contains(g) for g in gens)
+    assert all(_remainder_form_is_fresh(g) for g in basis)
+    ring, *_ = rings.ring(",".join(ctx.names), QQ, order)
+
+    def to_sympy(p):
+        return ring({e: QQ(c.numerator, c.denominator) for e, c in p.terms()})
+
+    divisors = [to_sympy(g) for g in basis]
+    rng = random.Random(71)
+    for p in [_big_poly(rng, ctx, 4, 6) for _ in range(2)]:
+        expected = to_sympy(p).rem(divisors)
+        assert _term_map(ideal.normal_form(p).terms()) == _term_map(expected.items())

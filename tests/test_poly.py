@@ -190,7 +190,16 @@ def test_memo_is_per_order_and_invisible_to_equality():
     assert p.leading_term(grevlex_key) == ((0, 2), Fraction(5, 4))
     assert p.leading_term(lex_key) == ((1, 0), Fraction(-3, 2))
     assert p.leading_term(grevlex_key) == ((0, 2), Fraction(5, 4))
+    # Shift entries: the exponents of x^u * p, in term order, one entry per u.
+    assert p._shifted((1, 1)) == [(2, 1), (1, 3)]
+    shifted = p._shift((1, 1))
+    assert shifted == Polynomial.monomial(CTX, (1, 1)) * p
+    assert shifted._primitive() == ({(2, 1): -6, (1, 3): 5}, Fraction(1, 4))
+    assert shifted._primitive() == Polynomial(CTX, dict(shifted.terms()))._primitive()
+    assert p._shift((0, 0)) == p
+    assert [u for u in p._memo if isinstance(u, tuple)] == [(1, 1), (0, 0)]
     assert p == fresh and fresh == p
-    assert hash(p) == before == hash(fresh)
+    assert hash(p) == before == hash(fresh) == hash(p._shift((0, 0)))
     assert len({p, fresh}) == 1
     assert Polynomial.zero(CTX)._primitive() == ({}, Fraction(1))
+    assert Polynomial.zero(CTX)._shift((1, 0)).is_zero
