@@ -5,10 +5,12 @@ Given an ideal V of L, the quotient H_V = V/[V,V] carries an L-action
 through brackets of representatives (V itself acts trivially).  Any
 linear projection P of L onto V that fixes V pointwise gives an
 H_V-valued 1-cochain x -> [P(x)]; its Koszul coboundary is annihilated
-by insertions of V, hence descends to a 2-cochain on L/V.  Its class in
-H^2(L/V, H_V) is independent of the projection, vanishes exactly when
-the quotient map admits a splitting compatible with the bracket up to
-[V,V], and survives passing to L/[V,V].
+by insertions of V, hence descends to a closed 2-cochain on L/V
+(Hochschild & Serre 1953).  Its class in H^2(L/V, H_V) is independent of
+the projection, vanishes exactly when the quotient map admits a splitting
+compatible with the bracket up to [V,V], and survives passing to
+L/[V,V].  ``characteristic_class`` relies on these facts and does not
+re-check them; the test suite does.
 
 All linear algebra is exact over the rationals; representative and
 complement choices are taken from leftmost-pivot row reduction, so every
@@ -220,9 +222,7 @@ class QuotientAlgebra:
         self.ideal = ideal
         self.positions = [i for i in range(g.dim) if i not in pivot_set]
         labels = tuple(g.labels[i] for i in self.positions)
-        units = linalg.identity(g.dim)
-        lifts = [units[a] for a in self.positions]
-        table = [[self.project(g.bracket(ua, ub)) for ub in lifts] for ua in lifts]
+        table = [[self.project(g.bracket_basis(a, b)) for b in self.positions] for a in self.positions]
         self.algebra = LieAlgebraFD(labels, table)
 
     def project(self, vec: Sequence[Fraction]) -> Vec:
@@ -309,31 +309,19 @@ def characteristic_class(
     ideal: LieIdeal, projection: Optional[ProjectionOperator] = None
 ) -> CharClassResult:
     """The obstruction class of the ideal in H^2(L/V, V/[V,V])."""
-    g = ideal.ambient
     h1, module = h1_module(ideal)
     quotient = QuotientAlgebra(ideal)
     q_module = quotient_module(quotient, h1, module)
     if h1.dim == 0 or len(quotient.positions) < 2:
         empty = CochainCE(quotient.algebra, q_module, 2)
         return CharClassResult(ideal, h1, quotient, q_module, empty, ())
-    alpha = projection_form(ideal, projection, h1, module)
-    dalpha = ce_coboundary(alpha)
-    units = linalg.identity(g.dim)
-    for row in ideal.rows:
-        for unit in units:
-            if any(dalpha.evaluate([list(row), unit])):
-                raise RuntimeError(
-                    "coboundary of the projection form is not annihilated by "
-                    "the ideal; this indicates a bug"
-                )
+    dalpha = ce_coboundary(projection_form(ideal, projection, h1, module))
     # The lifts are the unit vectors at the increasing quotient.positions, so
     # evaluating on them reads one component of dalpha.
     data = {}
     for blade in quotient.algebra.blades(2):
         data[blade] = dalpha.value_on_blade(tuple(quotient.positions[j] for j in blade))
     descended = CochainCE(quotient.algebra, q_module, 2, data)
-    if not ce_coboundary(descended).is_zero:
-        raise RuntimeError("descended 2-cochain is not closed; this indicates a bug")
     # the exact 2-cochains are spanned by the columns of d on 1-cochains
     q = quotient.algebra
     exact_rows = _transpose(coboundary_matrix(q, q_module, 1), q.dim * h1.dim)

@@ -225,7 +225,7 @@ class _Runner:
         rows = []
         for chunk in str(query.options["ideal"]).split(";"):
             try:
-                combo = parse_combo(chunk.strip(), g.labels, query.line)
+                combo = parse_combo(chunk.strip(), g.labels, query._option_lines["ideal"])
             except SpecFileError as exc:
                 raise ValidationFailure(str(exc)) from None
             vec = [Fraction(0)] * g.dim

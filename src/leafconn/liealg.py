@@ -27,13 +27,13 @@ being an odd derivation:
 The two matrices are sparse rows (``linalg.Sparse``, built straight from
 the kernel and the action matrices), and homology, cohomology and the
 boundary and coboundary solvers hand them to ``linalg`` as they are, so no
-Lie matrix is ever densified.  Structure constants are also kept as the
-nonzero (index, coefficient) pairs of each basis bracket, which is what the
-kernel, ``bracket`` and the Jacobi check iterate; an integral constant is
-kept there as an ``int``, so on an integral algebra the kernel computes in
-``int``.  ``delta_matrix`` and ``coboundary_matrix`` make each cell a
-``Fraction`` as they build their rows, and ``homology`` reads the kernel
-back into integer rows, building ``Fraction``s only for its answers.
+Lie matrix is ever densified.  Structure constants are stored once, as the
+nonzero (index, coefficient) pairs of each basis bracket, which every check
+and product iterates and ``bracket_basis`` densifies when read; integral
+constants are kept as ``int``, so on an integral algebra the kernel
+computes in ``int``.  ``delta_matrix`` and ``coboundary_matrix`` make each
+cell a ``Fraction`` as they build their rows, and ``homology`` reads the
+kernel back into integer rows, building ``Fraction``s only for its answers.
 
 All homology/cohomology dimensions come from exact rational row
 reduction; representative choices are deterministic (leftmost pivots).
@@ -48,7 +48,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg
 from .linalg import Sparse, _exact
-from .tensors import _signed_sum, _wedge_terms, merge_sign
+from .tensors import _blade, _signed_sum, _wedge_terms, merge_sign
 
 Vec = list[Fraction]
 IndexTuple = tuple[int, ...]
@@ -66,20 +66,16 @@ class LieAlgebraFD:
             raise ValueError("structure-constant table must be n x n x n")
         self.labels = labels
         self.dim = n
-        self._table: tuple[tuple[tuple[Fraction, ...], ...], ...] = tuple(
-            tuple(tuple(_exact(c) for c in cell) for cell in row) for row in table
-        )
-        for i in range(n):
-            for j in range(n):
-                if len(self._table[i][j]) != n:
-                    raise ValueError("structure-constant table must be n x n x n")
+        cells = [[[_exact(c) for c in cell] for cell in row] for row in table]
+        if any(len(cell) != n for row in cells for cell in row):
+            raise ValueError("structure-constant table must be n x n x n")
         # the nonzero (t, c) of each [x_i, x_j] = sum_t c x_t, integral c as int
         self._nonzero: tuple[tuple[tuple[tuple[int, int | Fraction], ...], ...], ...] = tuple(
             tuple(
                 tuple((t, c.numerator if c.denominator == 1 else c) for t, c in enumerate(cell) if c)
                 for cell in row
             )
-            for row in self._table
+            for row in cells
         )
         self._validate()
 
@@ -111,15 +107,16 @@ class LieAlgebraFD:
 
     def _validate(self) -> None:
         n = self.dim
+        nonzero = self._nonzero
         for i in range(n):
             for j in range(i, n):
-                for k in range(n):
-                    if self._table[i][j][k] != -self._table[j][i][k]:
-                        raise ValueError(
-                            f"structure constants are not antisymmetric at "
-                            f"([{self.labels[i]},{self.labels[j]}], {self.labels[k]})"
-                        )
-        nonzero = self._nonzero
+                ij, ji = dict(nonzero[i][j]), dict(nonzero[j][i])
+                bad = [k for k in ij.keys() | ji.keys() if ij.get(k, 0) != -ji.get(k, 0)]
+                if bad:
+                    raise ValueError(
+                        f"structure constants are not antisymmetric at "
+                        f"([{self.labels[i]},{self.labels[j]}], {self.labels[min(bad)]})"
+                    )
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
@@ -143,7 +140,10 @@ class LieAlgebraFD:
             raise KeyError(f"unknown basis label {label!r}") from None
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self._table[i][j]
+        out = [Fraction(0)] * self.dim
+        for t, c in self._nonzero[i][j]:
+            out[t] = Fraction(c)
+        return tuple(out)
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
@@ -208,11 +208,11 @@ def direct_sum(a: LieAlgebraFD, b: LieAlgebraFD) -> LieAlgebraFD:
         renamed.append(candidate)
     labels.extend(renamed)
     n = len(labels)
-    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
     for g, offset in ((a, 0), (b, a.dim)):
-        for i in range(g.dim):
-            for j in range(g.dim):
-                for k, c in enumerate(g.bracket_basis(i, j)):
+        for i, row in enumerate(g._nonzero):
+            for j, cell in enumerate(row):
+                for k, c in cell:
                     table[offset + i][offset + j][offset + k] = c
     return LieAlgebraFD(labels, table)
 
@@ -247,23 +247,16 @@ class LieModuleFD:
         return cls(algebra, [zero] * algebra.dim, dim=dim)
 
     def _validate(self) -> None:
-        g = self.algebra
+        g, mats = self.algebra, self.matrices
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-                for k, c in enumerate(g.bracket_basis(i, j)):
-                    if c:
-                        for r in range(self.dim):
-                            for s in range(self.dim):
-                                lhs[r][s] += c * self.matrices[k][r][s]
-                rhs = linalg.matmul(self.matrices[i], self.matrices[j])
-                rhs2 = linalg.matmul(self.matrices[j], self.matrices[i])
+                ij, ji = linalg.matmul(mats[i], mats[j]), linalg.matmul(mats[j], mats[i])
                 for r in range(self.dim):
                     for s in range(self.dim):
-                        if lhs[r][s] != rhs[r][s] - rhs2[r][s]:
+                        if sum(c * mats[k][r][s] for k, c in g._nonzero[i][j]) != ij[r][s] - ji[r][s]:
                             raise ValueError(
                                 "action matrices are not a homomorphism at "
-                                f"({self.algebra.labels[i]}, {self.algebra.labels[j]})"
+                                f"({g.labels[i]}, {g.labels[j]})"
                             )
 
     def act_basis(self, i: int, vec: Sequence[Fraction]) -> Vec:
@@ -276,17 +269,6 @@ class LieModuleFD:
                 for r, value in enumerate(self.act_basis(i, vec)):
                     out[r] += c * value
         return out
-
-
-def _blade(idx: Sequence[int], grade: int, dim: int) -> IndexTuple:
-    """``idx`` as a tuple, after checking that it is an increasing blade of
-    ``grade`` indices below ``dim``."""
-    idx = tuple(idx)
-    if len(idx) != grade or any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"bad blade {idx!r} for grade {grade}")
-    if any(not 0 <= i < dim for i in idx):
-        raise ValueError(f"blade {idx!r} out of range")
-    return idx
 
 
 class ChainElement:

@@ -86,6 +86,7 @@ class Query:
     kind: str
     options: dict[str, object]
     line: int
+    _option_lines: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -102,8 +103,9 @@ class SpecDocument:
 def _parse_rational(text: str, line: int) -> Fraction:
     text = text.strip()
     try:
-        # no exponent notation: a few bytes of it can ask for a huge integer
-        if "e" not in text.lower():
+        # no exponent notation (a few bytes of it can ask for a huge
+        # integer) and no digit separators (only some Python versions read them)
+        if "e" not in text.lower() and "_" not in text:
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
@@ -370,6 +372,7 @@ class _SpecParser:
             raise SpecFileError(f"query {query.kind!r} takes no key {key!r}", line)
         if key in query.options:
             raise SpecFileError(f"duplicate key {key!r}", line)
+        query._option_lines[key] = line
         if key == "point":
             query.options[key] = _parse_point(value, line)
         elif key in ("grade", "degree"):

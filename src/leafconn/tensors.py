@@ -1,7 +1,8 @@
 """Multivector fields, differential forms, and the graded calculus on them.
 
 Components are stored sparsely on strictly increasing index tuples with
-polynomial coefficients, so every object has one canonical representation.
+polynomial coefficients, so every object has one canonical representation
+(``_blade`` is the one check of such a tuple, here and in ``liealg``).
 A blade (i_1, ..., i_p) is read as the product xi_{i_1} ... xi_{i_p} of odd
 variables (xi_j = d/dx_j for fields, dx_j for forms).  The calculus stands
 on two derivative kernels and one product loop: ``_odd_partials`` (d/dxi_j
@@ -37,7 +38,7 @@ classical ``[L_X, i_Y] = i_[X,Y]``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .poly import ContextMismatch, Polynomial, VarContext
 
@@ -63,6 +64,17 @@ def merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple, int]:
             if a > b:
                 inversions += 1
     return tuple(sorted(left + right)), (-1 if inversions % 2 else 1)
+
+
+def _blade(idx: Sequence[int], grade: int, dim: int) -> IndexTuple:
+    """``idx`` as a tuple, after checking that it is an increasing blade of
+    ``grade`` indices below ``dim``."""
+    idx = tuple(idx)
+    if len(idx) != grade or any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"bad blade {idx!r} for grade {grade}")
+    if any(not 0 <= i < dim for i in idx):
+        raise ValueError(f"blade {idx!r} out of range")
+    return idx
 
 
 def _accumulate(out: dict[IndexTuple, Scalar], key: IndexTuple, value: Scalar) -> None:
@@ -133,11 +145,7 @@ class _GradedTensor:
         self.grade = grade
         clean: dict[IndexTuple, Polynomial] = {}
         for indices, coeff in dict(components).items():
-            indices = tuple(indices)
-            if len(indices) != grade or any(not 0 <= i < len(context) for i in indices):
-                raise ValueError(f"bad index tuple {indices!r} for grade {grade}")
-            if any(a >= b for a, b in zip(indices, indices[1:])):
-                raise ValueError(f"index tuple {indices!r} is not strictly increasing")
+            indices = _blade(indices, grade, len(context))
             if coeff.context != context:
                 raise ContextMismatch("component context does not match the tensor context")
             if not coeff.is_zero:

@@ -513,17 +513,24 @@ def permuted_sum(rng, max_dim):
     return LieAlgebraFD([g.labels[i] for i in order], table)
 
 
-def unimodular_twist(g, rng):
-    """``g`` in the basis b_i = sum_k M[i][k] e_k, for an integer M of
-    determinant +-1: M = S P U, where U adds each basis vector's successor to
-    it, P permutes and S flips signs (P and S from ``rng``).  The structure
-    constants of the twisted algebra are integers whose pivots in row
-    reduction are rarely +-1."""
-    n = g.dim
+def unimodular_basis(n, rng):
+    """An integer n x n matrix M of determinant +-1: M = S P U, where U adds
+    each basis vector's successor to it, P permutes and S flips signs (P and
+    S from ``rng``)."""
     upper = [[Fraction(int(j in (i, i + 1))) for j in range(n)] for i in range(n)]
     order = list(range(n))
     rng.shuffle(order)
-    m = [[rng.choice([-1, 1]) * x for x in upper[k]] for k in order]
+    return [[rng.choice([-1, 1]) * x for x in upper[k]] for k in order]
+
+
+def unimodular_twist(g, rng, m=None):
+    """``g`` in the basis b_i = sum_k M[i][k] e_k, for M = ``m`` or else
+    ``unimodular_basis(g.dim, rng)``.  The structure constants of the twisted
+    algebra are integers whose pivots in row reduction are rarely +-1.  A
+    vector v in the old basis has the coordinates M^-T v in the new one."""
+    n = g.dim
+    if m is None:
+        m = unimodular_basis(n, rng)
     inv = ref_invert(m)
     table = []
     for i in range(n):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from leafconn import linalg
 from leafconn.charclass import (
     H1Quotient,
     LieIdeal,
@@ -217,3 +219,92 @@ def test_quotient_lift_rejects_wrong_length(vec):
     with pytest.raises(ValueError, match=f"expected 2 quotient coordinates, got {len(vec)}"):
         quotient.lift(vec)
     assert quotient.lift([1, F(1, 2)]) == [F(1), F(1, 2), F(0)]
+
+
+def _summands(g):
+    """Unit-vector bases of the summands of a direct sum in coordinate
+    basis order: the connected pieces of the graph that joins i, j and
+    every k with a nonzero constant in [e_i, e_j]."""
+    parent = list(range(g.dim))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(g.dim), 2):
+        for k in [j] + [k for k, c in enumerate(g.bracket_basis(i, j)) if c]:
+            parent[root(k)] = root(i)
+    pieces = {}
+    for i, unit in enumerate(linalg.identity(g.dim)):
+        pieces.setdefault(root(i), []).append(unit)
+    return list(pieces.values())
+
+
+def _centre(g):
+    """The x with [x, e_i] = 0 for every i: one equation per (i, t)."""
+    n = g.dim
+    columns = [[g.bracket_basis(k, i) for k in range(n)] for i in range(n)]
+    rows = [support.sparsify([column[k][t] for k in range(n)]) for column in columns for t in range(n)]
+    return support.densify(linalg.nullspace([row for row in rows if row], n), n)
+
+
+def _derived(g):
+    images = [support.sparsify(g.bracket_basis(i, j)) for i, j in combinations(range(g.dim), 2)]
+    reduced, _ = linalg.rref([image for image in images if image])
+    return support.densify(reduced, g.dim)
+
+
+def _transport(rows, m):
+    """Coordinates M^-T v, in the basis of ``support.unimodular_twist``."""
+    back = linalg.transpose(support.ref_invert(m))
+    return [linalg.matvec(back, row) for row in rows]
+
+
+def _other_projection(ideal, rng):
+    """P + R(1 - P) for the canonical P and a random R with columns in V."""
+    n = ideal.ambient.dim
+    p = ProjectionOperator.canonical(ideal).matrix
+    columns = []
+    for _ in range(n):
+        coeffs = [rng.randint(-2, 2) for _ in ideal.rows]
+        columns.append([sum((c * row[i] for c, row in zip(coeffs, ideal.rows)), F(0)) for i in range(n)])
+    r = linalg.transpose(columns)
+    complement = [[F(i == j) - p[i][j] for j in range(n)] for i in range(n)]
+    moved = linalg.matmul(r, complement)
+    return ProjectionOperator(ideal, [[a + b for a, b in zip(*rows)] for rows in zip(p, moved)])
+
+
+def _algebras_with_ideals(rng):
+    g = support.permuted_sum(rng, 7)
+    m = support.unimodular_basis(g.dim, rng)
+    twisted = support.unimodular_twist(g, rng, m)
+    rescaled = support.rational_rescale(g, rng)
+    pieces = _summands(g)
+    for algebra, summands in ((g, pieces), (twisted, [_transport(p, m) for p in pieces]), (rescaled, pieces)):
+        for rows in summands + [_centre(algebra), _derived(algebra)]:
+            if rows:
+                yield algebra, rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_class_descends_and_is_closed_and_independent_of_projection(seed):
+    # characteristic_class trusts that d(alpha) is killed by V and descends
+    # to a closed cochain whose class does not see the projection; check it
+    rng = random.Random(seed)
+    nontrivial = 0
+    for g, rows in _algebras_with_ideals(rng):
+        ideal = LieIdeal(g, rows)
+        results = []
+        for projection in (ProjectionOperator.canonical(ideal), _other_projection(ideal, rng)):
+            dalpha = ce_coboundary(projection_form(ideal, projection))
+            for row in ideal.rows:
+                for unit in linalg.identity(g.dim):
+                    assert not any(dalpha.evaluate([row, unit]))
+            result = characteristic_class(ideal, projection)
+            assert is_closed_cochain(result.form)
+            results.append(result)
+        assert results[0].class_vector == results[1].class_vector
+        assert str(results[0]) == str(results[1])
+        nontrivial += not results[0].form.is_zero
+    assert nontrivial

@@ -284,7 +284,7 @@ HEIS_SPEC = "[lie_algebra heis]\nbasis = e, f, h\n[e, f] = h\n\n"
             2,
             "error = expected a section of grade at least 1",
         ),
-        (HEIS_SPEC + "[query char-class]\nalgebra = heis\nideal = q\n", 2, "error = line 5: unknown basis label 'q'"),
+        (HEIS_SPEC + "[query char-class]\nalgebra = heis\nideal = q\n", 2, "error = line 7: unknown basis label 'q'"),
         (
             LEAF_SPEC + "[query leaf-connection]\nideal = origin\nalpha = nil\nsection = s\npoint = 0, 0\n",
             0,

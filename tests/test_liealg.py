@@ -55,6 +55,7 @@ def test_factories():
     assert so3().labels == ("r1", "r2", "r3")
     g = sl2()
     assert g.bracket_basis(g.index("h"), g.index("e")) == (F(2), F(0), F(0))
+    assert all(type(c) is F for c in g.bracket_basis(g.index("h"), g.index("e")))
     assert g.bracket_basis(g.index("e"), g.index("f")) == (F(0), F(0), F(1))
 
 
@@ -62,8 +63,17 @@ def test_table_validation_witnesses():
     table = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
     table[0][1][0] = F(1)
     table[1][0][0] = F(1)
-    with pytest.raises(ValueError, match="not antisymmetric"):
+    with pytest.raises(ValueError, match=r"not antisymmetric at \(\[a,b\], a\)"):
         LieAlgebraFD(["a", "b"], table)
+    table = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    table[0][2][1], table[2][0][1] = F(1), F(-1)
+    table[0][2][0], table[2][0][0] = F(2), F(3)
+    with pytest.raises(ValueError, match=r"not antisymmetric at \(\[a,c\], a\)"):
+        LieAlgebraFD(["a", "b", "c"], table)
+    table = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    table[1][1][0] = F(1)
+    with pytest.raises(ValueError, match=r"not antisymmetric at \(\[b,b\], a\)"):
+        LieAlgebraFD(["a", "b", "c"], table)
     with pytest.raises(ValueError, match=r"Jacobi identity fails on \(a, b, d\)"):
         LieAlgebraFD.from_brackets(
             ["a", "b", "c", "d"],

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from leafconn.cli import main
 from leafconn.specfile import SpecFileError, parse_spec_text
 
 F = Fraction
@@ -141,3 +142,62 @@ def test_malformed_lines():
     fails_with("[variables]\nx\n[bivector]\nx ^ = 1\n", "")
     fails_with("[wtf", "malformed section header", line=1)
     fails_with("[query flat-sections]\nideal\n", "expected 'key = value'")
+
+
+FLAT = "[query flat-sections]\nideal = a\n"
+CHAR = "[query char-class]\nalgebra = g\nideal = e\n"
+ALG = "[lie_algebra g]\nbasis = e, f\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (FLAT + "point = ()\n", 3, "empty point"),
+        (FLAT + "point =\n", 3, "empty point"),
+        (FLAT + "point = 0, x\n", 3, "expected a rational number, got 'x'"),
+        (FLAT + "point = (1, 2\n", 3, "expected a rational number, got '(1'"),
+        (FLAT + "point = (0, 1e3)\n", 3, "expected a rational number, got '1e3'"),
+        (FLAT + "point = 0, 1_000\n", 3, "expected a rational number, got '1_000'"),
+        (FLAT + "point = (1_0, 0)\n", 3, "expected a rational number, got '1_0'"),
+        (CHAR + "projection =\n", 4, "empty matrix row"),
+        (CHAR + "projection = 1, 0;\n", 4, "empty matrix row"),
+        (CHAR + "projection = 1, 0; 1\n", 4, "matrix rows have unequal lengths"),
+        (CHAR + "projection = 1, 0; 0, 1_0\n", 4, "expected a rational number, got '1_0'"),
+        ("[variables v]\nx\n", 1, "[variables] takes no name"),
+        ("[variables]\nx, y\n[bivector]\nx ^ y = x\n[bivector]\nx ^ y = 1\n", 5, "duplicate [bivector] section"),
+        ("[variables]\nx\n[ideal a]\nx\n[form a]\ndx\n", 5, "duplicate definition of 'a'"),
+        ("[variables]\nx, x\n", 2, "duplicate variable 'x'"),
+        ("[lie_algebra g]\nbasis = e, e\n", 2, "duplicate basis labels"),
+        (FLAT + "ideal = b\n", 3, "duplicate key 'ideal'"),
+        (ALG + "[e, f] = e\n[f, e] = f\n", 4, "duplicate bracket relation for (f, e)"),
+        ("[query]\n", 1, "[query] needs a kind"),
+        (ALG + "[e, q] = f\n", 3, "unknown basis label 'q'"),
+        (FLAT + "grade = x\n", 3, "grade must be an integer"),
+        ("[query char-class]\nalgebra = g\nideal =\n", 3, "empty ideal basis"),
+        ("[variables]\n", 1, "a [variables] section is required first"),
+        ("[variables]\nx\n[multivector s]\n", 3, "multivector 's' has no expression"),
+        ("[variables]\nx\n[form a]\n\n# nothing\n", 3, "form 'a' has no expression"),
+        ("[lie_algebra g]\n", 1, "lie_algebra 'g' declares no basis"),
+        (ALG + "[e, f] =\n", 3, "expected a term in the linear combination"),
+        (ALG + "[e, f] = e +\n", 3, "expected a term in the linear combination"),
+        (ALG + "[e, f] = 1/0*e\n", 3, "bad rational coefficient"),
+        (ALG + "[e, f] = 1/*e\n", 3, "bad rational coefficient"),
+        (ALG + "[e, f] = 2\n", 3, "a nonzero constant is not a basis combination"),
+        (ALG + "[e, f] = 2*3\n", 3, "expected a basis label"),
+        (ALG + "[e, f] = e f\n", 3, "unexpected 'f' in linear combination"),
+        (ALG + "[e, f] = e $\n", 3, "unexpected character '$'"),
+    ],
+)
+def test_spec_reader_errors_name_their_line(text, line, message, tmp_path, capsys):
+    fails_with(text, message, line=line)
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["--spec", str(spec)]) == 3
+    assert f"parse error: line {line}: {message}" in capsys.readouterr().err
+
+
+def test_combination_that_cancels_is_zero():
+    doc = parse_spec_text(ALG + "[e, f] = e - e\n")
+    assert doc.lie_algebras["g"].relations == {("e", "f"): {}}
+    doc = parse_spec_text(ALG + "[e, f] = 1/2*e + f - 1/2*e\n")
+    assert doc.lie_algebras["g"].relations == {("e", "f"): {"f": F(1)}}

@@ -1,5 +1,6 @@
 """Source checks: the library depends on the Python standard library alone,
-and every private name in it has a caller."""
+every private name in it has a caller, and every private attribute it
+stores is read somewhere."""
 import ast
 import pathlib
 import sys
@@ -62,8 +63,12 @@ def reads(tree):
             yield True, node.attr
 
 
+def parsed_sources():
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
+
 def test_every_private_name_has_a_library_caller():
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    trees = parsed_sources()
     everywhere = Counter(read for tree in trees.values() for read in reads(tree))
     unused = set()
     for module, tree in trees.items():
@@ -75,3 +80,24 @@ def test_every_private_name_has_a_library_caller():
             if all(everywhere[kind, name] == inside[kind, name] for kind in kinds):
                 unused.add((module, name))
     assert not unused
+
+
+def stored_private_attributes(tree):
+    """The private attribute names assigned in ``tree`` (``x._name = ...``),
+    dunders excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if node.attr.startswith("_") and not _is_dunder(node.attr):
+                yield node.attr
+
+
+def test_every_private_attribute_stored_is_read():
+    trees = parsed_sources()
+    everywhere = Counter(read for tree in trees.values() for read in reads(tree))
+    unread = {
+        (module, name)
+        for module, tree in trees.items()
+        for name in stored_private_attributes(tree)
+        if not everywhere[True, name]
+    }
+    assert not unread

@@ -59,11 +59,17 @@ def test_merge_sign():
 
 def test_constructor_requires_increasing_blades():
     one = Polynomial.constant(CTX, 1)
-    with pytest.raises(ValueError):
-        MultivectorField(CTX, 2, {(1, 0): one})
-    with pytest.raises(ValueError):
-        MultivectorField(CTX, 2, {(0, 0): one})
-    assert MultivectorField(CTX, 3, {}).is_zero
+    for cls in (MultivectorField, DifferentialForm):
+        for blade, message in [
+            ((1, 0), r"^bad blade \(1, 0\) for grade 2$"),
+            ((0, 0), r"^bad blade \(0, 0\) for grade 2$"),
+            ((0,), r"^bad blade \(0,\) for grade 2$"),
+            ((0, 2), r"^blade \(0, 2\) out of range$"),
+            ((-1, 0), r"^blade \(-1, 0\) out of range$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                cls(CTX, 2, {blade: one})
+        assert cls(CTX, 3, {}).is_zero
 
 
 def test_wedge_antisymmetry_and_square_zero():
