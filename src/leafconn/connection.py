@@ -287,8 +287,7 @@ def flat_sections_at_point(
     return value is the transversal blade basis together with a basis of
     the flat subspace in those coordinates.
     """
-    point = leaf._resolve_point(at)
-    complement = leaf.transversal_basis_at(point, grade)
+    complement = leaf.transversal_basis_at(at, grade)
     m = len(complement)
     if m == 0:
         return [], []
@@ -299,7 +298,7 @@ def flat_sections_at_point(
         for k, blade in enumerate(complement):
             extension = MultivectorField(leaf.context, grade, {blade: one})
             derivative = schouten_bracket(tangent, extension)
-            for r, value in enumerate(leaf.reduce_mod_tangent(derivative, point)):
+            for r, value in enumerate(leaf.reduce_mod_tangent(derivative, at)):
                 if value:
                     block[r][k] = value
         rows.extend(block)

@@ -38,13 +38,22 @@ options; unknown kinds, unknown keys, and malformed values are rejected
 at parse time with the offending line number.  Name references between
 sections (pointers from queries to ideals, tensors, and algebras) are
 resolved later, when the query runs.
+
+The reader makes two passes.  The first groups the lines under their
+headers; content before the first header fails there.  The second checks
+each header and hands the whole section, in file order, to the one method
+for its kind, which also makes the checks that need the whole section
+(generators, expression, basis, required query keys).  ``QUERY_KEYS``
+holds one table per query kind: its keys, whether each is required, and
+the reader of each value.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .parse import ParseError, parse_form, parse_multivector, parse_polynomial, tokenize
 from .poly import Polynomial, VarContext
@@ -53,18 +62,6 @@ from .tensors import DifferentialForm, MultivectorField
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 _HEADER_RE = re.compile(r"\[\s*([A-Za-z_-]+)(?:\s+([A-Za-z_][\w-]*))?\s*\]\Z")
 _BRACKET_LHS_RE = re.compile(r"\[\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\]\Z")
-
-QUERY_KEYS: dict[str, tuple[set[str], set[str]]] = {
-    # kind: (required keys, optional keys)
-    "check-poisson": (set(), set()),
-    "schouten": ({"left", "right"}, set()),
-    "leaf-connection": ({"ideal", "alpha", "section"}, {"point"}),
-    "flat-sections": ({"ideal"}, {"point", "grade"}),
-    "der-basis": ({"ideal"}, {"degree"}),
-    "lie-homology": ({"algebra"}, set()),
-    "char-class": ({"algebra", "ideal"}, {"projection"}),
-}
-
 
 class SpecFileError(ValueError):
     """Structural or syntax problem, carrying the 1-based line number."""
@@ -132,66 +129,93 @@ def _parse_matrix(value: str, line: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
+def _parse_name(value: str, line: int) -> str:
+    if not _IDENT_RE.match(value):
+        raise SpecFileError(f"expected a name, got {value!r}", line)
+    return value
+
+
+def _parse_count(key: str, value: str, line: int) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        raise SpecFileError(f"{key} must be an integer", line) from None
+    if count < 0:
+        raise SpecFileError(f"{key} must be non-negative", line)
+    return count
+
+
+def _parse_basis(value: str, line: int) -> str:
+    # ';'-separated label combinations, read when the query runs: the
+    # algebra that owns the labels may be defined later in the file
+    if not value:
+        raise SpecFileError("empty ideal basis", line)
+    return value
+
+
+# a row's entries: key -> (required, reader of the value)
+_NAME = (True, _parse_name)
+_POINT = (False, _parse_point)
+_GRADE = (False, partial(_parse_count, "grade"))
+_DEGREE = (False, partial(_parse_count, "degree"))
+
+QUERY_KEYS: dict[str, dict[str, tuple[bool, Callable[[str, int], object]]]] = {
+    "check-poisson": {},
+    "schouten": {"left": _NAME, "right": _NAME},
+    "leaf-connection": {"ideal": _NAME, "alpha": _NAME, "section": _NAME, "point": _POINT},
+    "flat-sections": {"ideal": _NAME, "point": _POINT, "grade": _GRADE},
+    "der-basis": {"ideal": _NAME, "degree": _DEGREE},
+    "lie-homology": {"algebra": _NAME},
+    "char-class": {
+        "algebra": _NAME, "ideal": (True, _parse_basis), "projection": (False, _parse_matrix)
+    },
+}
+
+
 def parse_combo(text: str, labels: tuple[str, ...], line: int) -> dict[str, Fraction]:
     """A rational linear combination of labels, e.g. ``2*e - 1/2*h`` or ``0``."""
     try:
-        tokens = tokenize(text)
+        tokens = [token[:2] for token in tokenize(text)] + [("end", "")]
     except ParseError as exc:
         raise SpecFileError(str(exc), line) from None
     out: dict[str, Fraction] = {}
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def term(sign: Fraction) -> None:
-        nonlocal pos
-        token = peek()
-        if token is None:
+    pos, sign = (1, -1) if tokens[0] == ("op", "-") else (0, 1)
+    while True:
+        kind, value = tokens[pos]
+        if kind == "end":
             raise SpecFileError("expected a term in the linear combination", line)
         coeff = Fraction(1)
-        if token[0] == "number":
-            coeff = Fraction(int(token[1]))
-            pos += 1
-            if peek() and peek()[0] == "op" and peek()[1] == "/":
-                pos += 1
-                den = peek()
-                if den is None or den[0] != "number" or int(den[1]) == 0:
+        if kind == "number":
+            coeff, pos = Fraction(int(value)), pos + 1
+            if tokens[pos] == ("op", "/"):
+                kind, den = tokens[pos + 1]
+                if kind != "number" or int(den) == 0:
                     raise SpecFileError("bad rational coefficient", line)
-                coeff /= int(den[1])
+                coeff, pos = coeff / int(den), pos + 2
+            if tokens[pos] == ("op", "*"):
+                kind, value = tokens[pos + 1]
                 pos += 1
-            if peek() is None or not (peek()[0] == "op" and peek()[1] == "*"):
-                if coeff != 0:
-                    raise SpecFileError(
-                        "a nonzero constant is not a basis combination", line
-                    )
-                return
+            elif coeff:
+                raise SpecFileError("a nonzero constant is not a basis combination", line)
+            else:
+                kind = "zero"  # a lone 0 adds nothing
+        if kind != "zero":
+            if kind != "ident":
+                raise SpecFileError("expected a basis label", line)
+            if value not in labels:
+                raise SpecFileError(f"unknown basis label {value!r}", line)
             pos += 1
-            token = peek()
-        if token is None or token[0] != "ident":
-            raise SpecFileError("expected a basis label", line)
-        if token[1] not in labels:
-            raise SpecFileError(f"unknown basis label {token[1]!r}", line)
-        pos += 1
-        value = out.get(token[1], Fraction(0)) + sign * coeff
-        if value:
-            out[token[1]] = value
-        else:
-            out.pop(token[1], None)
-
-    sign = Fraction(1)
-    if peek() and peek()[0] == "op" and peek()[1] == "-":
-        sign = Fraction(-1)
-        pos += 1
-    term(sign)
-    while True:
-        token = peek()
-        if token is None:
+            total = out.get(value, 0) + sign * coeff
+            if total:
+                out[value] = total
+            else:
+                out.pop(value, None)
+        kind, value = tokens[pos]
+        if kind == "end":
             return out
-        if token[0] != "op" or token[1] not in "+-":
-            raise SpecFileError(f"unexpected {token[1]!r} in linear combination", line)
-        pos += 1
-        term(Fraction(1) if token[1] == "+" else Fraction(-1))
+        if (kind, value) not in (("op", "+"), ("op", "-")):
+            raise SpecFileError(f"unexpected {value!r} in linear combination", line)
+        pos, sign = pos + 1, (1 if value == "+" else -1)
 
 
 def _split_assignment(text: str, line: int) -> tuple[str, str]:
@@ -201,228 +225,175 @@ def _split_assignment(text: str, line: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _expression(parse, text: str, context: VarContext, line: int):
+    """``parse(text, context)`` with its syntax errors reported at ``line``."""
+    try:
+        return parse(text, context)
+    except ParseError as exc:
+        raise SpecFileError(str(exc), line) from None
+
+
+Body = list[tuple[str, int]]
+
+
 class _SpecParser:
-    def __init__(self, text: str):
+    def __init__(self):
         self.doc = SpecDocument()
-        self.lines = text.splitlines()
-        self.section: Optional[tuple[str, Optional[str], int]] = None
-        self.var_names: list[str] = []
-        self.bivector_entries: dict[tuple[int, int], Polynomial] = {}
-        self.algebra_labels: Optional[tuple[str, ...]] = None
+        self.readers = {
+            "variables": self.read_variables,
+            "bivector": self.read_bivector,
+            "ideal": self.read_ideal,
+            "multivector": partial(self.read_tensor, "multivector"),
+            "form": partial(self.read_tensor, "form"),
+            "lie_algebra": self.read_algebra,
+            "query": self.read_query,
+        }
 
     def context(self, line: int) -> VarContext:
         if self.doc.context is None:
-            if not self.var_names:
-                raise SpecFileError("a [variables] section is required first", line)
-            self.doc.context = VarContext(self.var_names)
+            raise SpecFileError("a [variables] section is required first", line)
         return self.doc.context
 
-    def parse(self) -> SpecDocument:
-        for number, raw in enumerate(self.lines, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
+    def parse(self, text: str) -> SpecDocument:
+        sections: list[tuple[str, int, Body]] = []
+        for number, raw in enumerate(text.splitlines(), start=1):
+            content = raw.strip()
+            if not content or content.startswith("#"):
                 continue
-            if text.startswith("[") and not _BRACKET_LHS_RE.match(
-                text.split("=")[0].strip()
-            ):
-                self.finish_section()
-                self.start_section(text, number)
+            if content.startswith("[") and not _BRACKET_LHS_RE.match(content.split("=")[0].strip()):
+                sections.append((content, number, []))
+            elif sections:
+                sections[-1][2].append((content, number))
             else:
-                self.body_line(text, number)
-        self.finish_section()
+                raise SpecFileError("content before the first section header", number)
+        for header, line, body in sections:
+            kind, name = self.header(header, line)
+            self.readers[kind](name, line, body)
         return self.doc
 
-    def start_section(self, text: str, line: int) -> None:
+    def header(self, text: str, line: int) -> tuple[str, Optional[str]]:
         match = _HEADER_RE.match(text)
         if match is None:
             raise SpecFileError(f"malformed section header {text!r}", line)
         kind, name = match.group(1), match.group(2)
+        doc = self.doc
+        if kind not in self.readers:
+            raise SpecFileError(f"unknown section kind {kind!r}", line)
         if kind in ("variables", "bivector"):
             if name is not None:
                 raise SpecFileError(f"[{kind}] takes no name", line)
-            if kind == "variables" and (self.var_names or self.doc.context):
-                raise SpecFileError("duplicate [variables] section", line)
-            if kind == "bivector" and self.doc.bivector is not None:
-                raise SpecFileError("duplicate [bivector] section", line)
-        elif kind in ("ideal", "multivector", "form", "lie_algebra"):
-            if name is None or not _IDENT_RE.match(name):
-                raise SpecFileError(f"[{kind}] needs a plain name", line)
-            defined = (
-                name in self.doc.ideals
-                or name in self.doc.multivectors
-                or name in self.doc.forms
-                or name in self.doc.lie_algebras
-            )
-            if defined:
-                raise SpecFileError(f"duplicate definition of {name!r}", line)
+            if (doc.context if kind == "variables" else doc.bivector) is not None:
+                raise SpecFileError(f"duplicate [{kind}] section", line)
         elif kind == "query":
             if name is None:
                 raise SpecFileError("[query] needs a kind", line)
-        else:
-            raise SpecFileError(f"unknown section kind {kind!r}", line)
-        self.section = (kind, name, line)
-        if kind == "ideal":
-            self.doc.ideals[name] = []
-        elif kind == "lie_algebra":
-            self.algebra_labels = None
-            self.doc.lie_algebras[name] = LieAlgebraSection((), {}, line)
-        elif kind == "query":
             if name not in QUERY_KEYS:
                 raise SpecFileError(f"unknown query kind {name!r}", line)
-            self.doc.queries.append(Query(name, {}, line))
+        elif name is None or not _IDENT_RE.match(name):
+            raise SpecFileError(f"[{kind}] needs a plain name", line)
+        elif any(name in s for s in (doc.ideals, doc.multivectors, doc.forms, doc.lie_algebras)):
+            raise SpecFileError(f"duplicate definition of {name!r}", line)
+        return kind, name
 
-    def body_line(self, text: str, line: int) -> None:
-        if self.section is None:
-            raise SpecFileError("content before the first section header", line)
-        kind, name, _ = self.section
-        handler = {
-            "variables": self.on_variables,
-            "bivector": self.on_bivector,
-            "ideal": self.on_ideal,
-            "multivector": self.on_tensor,
-            "form": self.on_tensor,
-            "lie_algebra": self.on_algebra,
-            "query": self.on_query,
-        }[kind]
-        try:
-            handler(name, text, line)
-        except ParseError as exc:
-            raise SpecFileError(str(exc), line) from None
+    def read_variables(self, name: None, line: int, body: Body) -> None:
+        names: list[str] = []
+        for text, number in body:
+            for part in text.split(","):
+                candidate = part.strip()
+                # VarContext's rule too: \w also admits characters such as '²'
+                if not (_IDENT_RE.match(candidate) and candidate.isidentifier()):
+                    raise SpecFileError(f"bad variable name {candidate!r}", number)
+                if candidate in names:
+                    raise SpecFileError(f"duplicate variable {candidate!r}", number)
+                names.append(candidate)
+        if names:
+            self.doc.context = VarContext(names)
+        self.context(line)  # an empty section counts as a missing one
 
-    def on_variables(self, name: Optional[str], text: str, line: int) -> None:
-        for part in text.split(","):
-            candidate = part.strip()
-            if not _IDENT_RE.match(candidate):
-                raise SpecFileError(f"bad variable name {candidate!r}", line)
-            if candidate in self.var_names:
-                raise SpecFileError(f"duplicate variable {candidate!r}", line)
-            self.var_names.append(candidate)
-
-    def on_bivector(self, name: Optional[str], text: str, line: int) -> None:
-        lhs, rhs = _split_assignment(text, line)
-        parts = [p.strip() for p in lhs.split("^")]
-        ctx = self.context(line)
-        if len(parts) != 2 or any(p not in ctx for p in parts):
-            raise SpecFileError(
-                "bivector components are assigned as '<var> ^ <var> = <polynomial>'",
-                line,
-            )
-        i, j = ctx.index(parts[0]), ctx.index(parts[1])
-        if i >= j:
-            raise SpecFileError(
-                "bivector components use variables in declared order", line
-            )
-        if (i, j) in self.bivector_entries:
-            raise SpecFileError(f"duplicate bivector component {lhs!r}", line)
-        self.bivector_entries[(i, j)] = parse_polynomial(rhs, ctx)
-
-    def on_ideal(self, name: Optional[str], text: str, line: int) -> None:
-        self.doc.ideals[name].append(parse_polynomial(text, self.context(line)))
-
-    def on_tensor(self, name: Optional[str], text: str, line: int) -> None:
-        kind = self.section[0]
-        ctx = self.context(line)
-        if kind == "multivector":
-            term = parse_multivector(text, ctx)
-            store = self.doc.multivectors
-        else:
-            term = parse_form(text, ctx)
-            store = self.doc.forms
-        if name in store:
-            try:
-                store[name] = store[name] + term
-            except ValueError as exc:
-                raise SpecFileError(str(exc), line) from None
-        else:
-            store[name] = term
-
-    def on_algebra(self, name: Optional[str], text: str, line: int) -> None:
-        section = self.doc.lie_algebras[name]
-        if self.algebra_labels is None:
-            key, value = _split_assignment(text, line)
-            if key != "basis":
-                raise SpecFileError("the first line must be 'basis = <labels>'", line)
-            labels = tuple(p.strip() for p in value.split(","))
-            if not labels or any(not _IDENT_RE.match(p) for p in labels):
-                raise SpecFileError("bad basis label list", line)
-            if len(set(labels)) != len(labels):
-                raise SpecFileError("duplicate basis labels", line)
-            self.algebra_labels = labels
-            section.labels = labels
-            return
-        lhs, rhs = _split_assignment(text, line)
-        match = _BRACKET_LHS_RE.match(lhs)
-        if match is None:
-            raise SpecFileError("bracket relations look like '[a, b] = <combination>'", line)
-        a, b = match.group(1), match.group(2)
-        for label in (a, b):
-            if label not in self.algebra_labels:
-                raise SpecFileError(f"unknown basis label {label!r}", line)
-        if (a, b) in section.relations or (b, a) in section.relations:
-            raise SpecFileError(f"duplicate bracket relation for ({a}, {b})", line)
-        if a == b:
-            raise SpecFileError("a bracket of a label with itself is zero", line)
-        section.relations[(a, b)] = parse_combo(rhs, self.algebra_labels, line)
-
-    def on_query(self, name: Optional[str], text: str, line: int) -> None:
-        query = self.doc.queries[-1]
-        key, value = _split_assignment(text, line)
-        required, optional = QUERY_KEYS[query.kind]
-        if key not in required | optional:
-            raise SpecFileError(f"query {query.kind!r} takes no key {key!r}", line)
-        if key in query.options:
-            raise SpecFileError(f"duplicate key {key!r}", line)
-        query._option_lines[key] = line
-        if key == "point":
-            query.options[key] = _parse_point(value, line)
-        elif key in ("grade", "degree"):
-            try:
-                query.options[key] = int(value)
-            except ValueError:
-                raise SpecFileError(f"{key} must be an integer", line) from None
-            if query.options[key] < 0:
-                raise SpecFileError(f"{key} must be non-negative", line)
-        elif key == "projection":
-            query.options[key] = _parse_matrix(value, line)
-        elif query.kind == "char-class" and key == "ideal":
-            # basis vectors as label combinations, ';'-separated; the labels
-            # belong to an algebra that may be defined later, so resolution
-            # waits until the query runs
-            if not value:
-                raise SpecFileError("empty ideal basis", line)
-            query.options[key] = value
-        else:
-            if not _IDENT_RE.match(value):
-                raise SpecFileError(f"expected a name, got {value!r}", line)
-            query.options[key] = value
-
-    def finish_section(self) -> None:
-        if self.section is None:
-            return
-        kind, name, line = self.section
-        if kind == "variables":
-            self.context(line)
-        elif kind == "bivector":
-            ctx = self.context(line)
-            self.doc.bivector = MultivectorField(ctx, 2, self.bivector_entries)
-        elif kind == "ideal" and not self.doc.ideals[name]:
-            raise SpecFileError(f"ideal {name!r} has no generators", line)
-        elif kind in ("multivector", "form"):
-            store = self.doc.multivectors if kind == "multivector" else self.doc.forms
-            if name not in store:
-                raise SpecFileError(f"{kind} {name!r} has no expression", line)
-        elif kind == "lie_algebra" and not self.doc.lie_algebras[name].labels:
-            raise SpecFileError(f"lie_algebra {name!r} declares no basis", line)
-        elif kind == "query":
-            query = self.doc.queries[-1]
-            required, _ = QUERY_KEYS[query.kind]
-            missing = sorted(required - set(query.options))
-            if missing:
+    def read_bivector(self, name: None, line: int, body: Body) -> None:
+        entries: dict[tuple[int, int], Polynomial] = {}
+        for text, number in body:
+            lhs, rhs = _split_assignment(text, number)
+            parts = [p.strip() for p in lhs.split("^")]
+            ctx = self.context(number)
+            if len(parts) != 2 or any(p not in ctx for p in parts):
                 raise SpecFileError(
-                    f"query {query.kind!r} is missing {', '.join(missing)}", line
+                    "bivector components are assigned as '<var> ^ <var> = <polynomial>'",
+                    number,
                 )
-        self.section = None
+            i, j = ctx.index(parts[0]), ctx.index(parts[1])
+            if i >= j:
+                raise SpecFileError("bivector components use variables in declared order", number)
+            if (i, j) in entries:
+                raise SpecFileError(f"duplicate bivector component {lhs!r}", number)
+            entries[(i, j)] = _expression(parse_polynomial, rhs, ctx, number)
+        self.doc.bivector = MultivectorField(self.context(line), 2, entries)
+
+    def read_ideal(self, name: str, line: int, body: Body) -> None:
+        generators = [_expression(parse_polynomial, t, self.context(n), n) for t, n in body]
+        if not generators:
+            raise SpecFileError(f"ideal {name!r} has no generators", line)
+        self.doc.ideals[name] = generators
+
+    def read_tensor(self, kind: str, name: str, line: int, body: Body) -> None:
+        parse = parse_multivector if kind == "multivector" else parse_form
+        total = None
+        for text, number in body:
+            term = _expression(parse, text, self.context(number), number)
+            try:
+                total = term if total is None else total + term
+            except ValueError as exc:
+                raise SpecFileError(str(exc), number) from None
+        if total is None:
+            raise SpecFileError(f"{kind} {name!r} has no expression", line)
+        store = self.doc.multivectors if kind == "multivector" else self.doc.forms
+        store[name] = total
+
+    def read_algebra(self, name: str, line: int, body: Body) -> None:
+        if not body:
+            raise SpecFileError(f"lie_algebra {name!r} declares no basis", line)
+        (first, number), *relation_lines = body
+        key, value = _split_assignment(first, number)
+        if key != "basis":
+            raise SpecFileError("the first line must be 'basis = <labels>'", number)
+        labels = tuple(p.strip() for p in value.split(","))
+        if not labels or any(not _IDENT_RE.match(p) for p in labels):
+            raise SpecFileError("bad basis label list", number)
+        if len(set(labels)) != len(labels):
+            raise SpecFileError("duplicate basis labels", number)
+        relations: dict[tuple[str, str], dict[str, Fraction]] = {}
+        for text, number in relation_lines:
+            lhs, rhs = _split_assignment(text, number)
+            match = _BRACKET_LHS_RE.match(lhs)
+            if match is None:
+                raise SpecFileError("bracket relations look like '[a, b] = <combination>'", number)
+            a, b = match.group(1), match.group(2)
+            for label in (a, b):
+                if label not in labels:
+                    raise SpecFileError(f"unknown basis label {label!r}", number)
+            if (a, b) in relations or (b, a) in relations:
+                raise SpecFileError(f"duplicate bracket relation for ({a}, {b})", number)
+            if a == b:
+                raise SpecFileError("a bracket of a label with itself is zero", number)
+            relations[(a, b)] = parse_combo(rhs, labels, number)
+        self.doc.lie_algebras[name] = LieAlgebraSection(labels, relations, line)
+
+    def read_query(self, kind: str, line: int, body: Body) -> None:
+        keys = QUERY_KEYS[kind]
+        query = Query(kind, {}, line)
+        for text, number in body:
+            key, value = _split_assignment(text, number)
+            if key not in keys:
+                raise SpecFileError(f"query {kind!r} takes no key {key!r}", number)
+            if key in query.options:
+                raise SpecFileError(f"duplicate key {key!r}", number)
+            query._option_lines[key] = number
+            query.options[key] = keys[key][1](value, number)
+        missing = sorted(k for k, (need, _) in keys.items() if need and k not in query.options)
+        if missing:
+            raise SpecFileError(f"query {kind!r} is missing {', '.join(missing)}", line)
+        self.doc.queries.append(query)
 
 
 def parse_spec_text(text: str) -> SpecDocument:
-    return _SpecParser(text).parse()
+    return _SpecParser().parse(text)

@@ -223,6 +223,23 @@ def test_coordinate_fields_are_built_once(monkeypatch):
     assert built == [pp(name, CTX3) for name in ("x", "y", "z")]
 
 
+def test_base_point_is_checked_once(monkeypatch):
+    checked = []
+    validate_point = LeafContext._validate_point
+
+    def counting(self, point):
+        checked.append(tuple(point))
+        return validate_point(self, point)
+
+    monkeypatch.setattr(LeafContext, "_validate_point", counting)
+    leaf = plane_leaf()
+    complement, kernel = flat_sections_at_point(leaf)
+    assert (complement, kernel) == ([(2,)], [(Fraction(1),)])
+    assert checked == [(0, 0, 0)]
+    with pytest.raises(NotOnLeafError):
+        flat_sections_at_point(leaf, at=(0, 0, 1))
+
+
 def test_non_integral_ideal_rejected():
     pi = PoissonStructure(mv("d/dx ^ d/dy"))
     with pytest.raises(ValueError):

@@ -167,6 +167,7 @@ ALG = "[lie_algebra g]\nbasis = e, f\n"
         ("[variables]\nx, y\n[bivector]\nx ^ y = x\n[bivector]\nx ^ y = 1\n", 5, "duplicate [bivector] section"),
         ("[variables]\nx\n[ideal a]\nx\n[form a]\ndx\n", 5, "duplicate definition of 'a'"),
         ("[variables]\nx, x\n", 2, "duplicate variable 'x'"),
+        ("[variables]\nx²\n", 2, "bad variable name 'x²'"),
         ("[lie_algebra g]\nbasis = e, e\n", 2, "duplicate basis labels"),
         (FLAT + "ideal = b\n", 3, "duplicate key 'ideal'"),
         (ALG + "[e, f] = e\n[f, e] = f\n", 4, "duplicate bracket relation for (f, e)"),
