@@ -169,10 +169,9 @@ class _Runner:
             if result.representative.is_zero:
                 pairs.append(("class_at_point", "0"))
             else:
-                blades = leaf.transversal_basis_at(point, grade)
-                pairs.append(
-                    ("class_at_point", self.combo_str(blades, result.class_at(point)))
-                )
+                # the leaf's base point is this point, checked when it was built
+                blades = leaf.transversal_basis_at(grade=grade)
+                pairs.append(("class_at_point", self.combo_str(blades, result.class_at())))
             pairs.append(("point", connection.point_str(point)))
         return pairs
 

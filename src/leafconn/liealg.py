@@ -17,8 +17,10 @@ the coboundary is the Koszul formula
 whose bracket term is the transpose of the boundary: on a basis blade B
 it is sum_S (delta B)[S] w(S).  So the boundary and both matrices read one
 per-blade kernel, ``_blade_boundary``; the Koszul formula is written once,
-in ``coboundary_matrix``, and ``ce_coboundary`` applies that matrix.  The
-chain wedge is the exterior-product loop of ``tensors``.  The
+in ``coboundary_matrix``, and ``ce_coboundary`` applies that matrix.
+Chains and cochains are blade sums of ``tensors._BladeSum``, which holds
+their arithmetic and equality; chains hash and take its wedge, while
+cochains, whose values are module-vector tuples, do neither.  The
 wedge-degree bracket is defined by the deviation of the boundary from
 being an odd derivation:
 
@@ -44,11 +46,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import linalg
 from .linalg import Sparse, _exact
-from .tensors import _blade, _signed_sum, _wedge_terms, merge_sign
+from .tensors import _BladeSum, _signed_sum, merge_sign
 
 Vec = list[Fraction]
 IndexTuple = tuple[int, ...]
@@ -271,23 +273,27 @@ class LieModuleFD:
         return out
 
 
-class ChainElement:
+class ChainElement(_BladeSum):
     """An element of the exterior algebra on the Lie algebra basis."""
 
-    __slots__ = ("algebra", "grade", "components")
+    __slots__ = ("algebra",)
+    _space_message = "chain elements over different algebras"
 
     def __init__(self, algebra: LieAlgebraFD, grade: int, components: Mapping[IndexTuple, Fraction] = ()):
-        if grade < 0:
-            raise ValueError("negative grade")
-        clean: dict[IndexTuple, Fraction] = {}
-        for idx, coeff in dict(components).items():
-            idx = _blade(idx, grade, algebra.dim)
-            coeff = _exact(coeff)
-            if coeff:
-                clean[idx] = coeff
         self.algebra = algebra
-        self.grade = grade
-        self.components = clean
+        super().__init__(grade, algebra.dim, components)
+
+    @property
+    def _space(self) -> tuple[LieAlgebraFD]:
+        return (self.algebra,)
+
+    @staticmethod
+    def _read(coeff: Fraction | int) -> Optional[Fraction]:
+        return _exact(coeff) or None
+
+    @property
+    def components(self) -> dict[IndexTuple, Fraction]:
+        return self._components
 
     @classmethod
     def basis(cls, algebra: LieAlgebraFD, indices: Sequence[int]) -> "ChainElement":
@@ -299,62 +305,12 @@ class ChainElement:
             raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
         return cls(algebra, 1, {(i,): c for i, c in enumerate(coords)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def items(self) -> Iterator[tuple[IndexTuple, Fraction]]:
-        for idx in sorted(self.components):
-            yield idx, self.components[idx]
+    items = _BladeSum._items
+    wedge = _BladeSum._wedge
 
     def coordinates(self) -> Vec:
         blades = self.algebra.blades(self.grade)
-        return [self.components.get(b, Fraction(0)) for b in blades]
-
-    def _check(self, other: "ChainElement") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("chain elements over different algebras")
-
-    def __add__(self, other: "ChainElement") -> "ChainElement":
-        self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.grade != other.grade:
-            raise ValueError("cannot add chains of different grades")
-        data = dict(self.components)
-        for idx, coeff in other.components.items():
-            data[idx] = data.get(idx, Fraction(0)) + coeff
-        return ChainElement(self.algebra, self.grade, data)
-
-    def __neg__(self) -> "ChainElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ChainElement") -> "ChainElement":
-        return self + (-other)
-
-    def scale(self, factor: Fraction | int) -> "ChainElement":
-        factor = _exact(factor)
-        return ChainElement(
-            self.algebra, self.grade, {i: factor * c for i, c in self.components.items()}
-        )
-
-    def wedge(self, other: "ChainElement") -> "ChainElement":
-        self._check(other)
-        data: dict[IndexTuple, Fraction] = {}
-        _wedge_terms(data, self.components, other.components, 1)
-        return ChainElement(self.algebra, self.grade + other.grade, data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainElement) or self.algebra is not other.algebra:
-            return NotImplemented
-        if self.grade != other.grade and not (self.is_zero and other.is_zero):
-            return False
-        return self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash((id(self.algebra), frozenset(self.components.items())))
+        return [self._components.get(b, Fraction(0)) for b in blades]
 
     def __str__(self) -> str:
         terms = []
@@ -404,8 +360,7 @@ def boundary_delta(u: ChainElement) -> ChainElement:
 
 def supercommutator(u: ChainElement, v: ChainElement) -> ChainElement:
     """[u, v] = delta(u) ^ v + (-1)^|u| u ^ delta(v) - delta(u ^ v)."""
-    if u.algebra is not v.algebra:
-        raise ValueError("chain elements over different algebras")
+    u._check(v)
     sign = -1 if u.grade % 2 else 1
     term = boundary_delta(u).wedge(v) + u.wedge(boundary_delta(v)).scale(sign)
     return term - boundary_delta(u.wedge(v))
@@ -490,10 +445,12 @@ def _sparse(vec: Vec) -> Sparse:
     return {j: x for j, x in enumerate(vec) if x}
 
 
-class CochainCE:
+class CochainCE(_BladeSum):
     """An alternating multilinear map on the algebra with module values."""
 
-    __slots__ = ("algebra", "module", "grade", "components")
+    __slots__ = ("algebra", "module")
+    _space_message = "cochains over different data"
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -504,24 +461,34 @@ class CochainCE:
     ):
         if module.algebra is not algebra:
             raise ValueError("module is over a different algebra")
-        if grade < 0:
-            raise ValueError("negative grade")
-        clean: dict[IndexTuple, tuple[Fraction, ...]] = {}
-        for idx, value in dict(components).items():
-            idx = _blade(idx, grade, algebra.dim)
-            vec = tuple(_exact(c) for c in value)
-            if len(vec) != module.dim:
-                raise ValueError("component value has wrong module dimension")
-            if any(vec):
-                clean[idx] = vec
         self.algebra = algebra
         self.module = module
-        self.grade = grade
-        self.components = clean
+        super().__init__(grade, algebra.dim, components)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.components
+    def _space(self) -> tuple[LieAlgebraFD, LieModuleFD]:
+        return (self.algebra, self.module)
+
+    def _read(self, value: Sequence[Fraction | int]) -> Optional[tuple[Fraction, ...]]:
+        vec = tuple(_exact(c) for c in value)
+        if len(vec) != self.module.dim:
+            raise ValueError("component value has wrong module dimension")
+        return vec if any(vec) else None
+
+    @staticmethod
+    def _sum(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        return tuple(x + y for x, y in zip(a, b))
+
+    @staticmethod
+    def _times(value: tuple[Fraction, ...], factor: Fraction) -> tuple[Fraction, ...]:
+        return tuple(factor * c for c in value)
+
+    def __neg__(self) -> "CochainCE":
+        return self.scale(-1)
+
+    @property
+    def components(self) -> dict[IndexTuple, tuple[Fraction, ...]]:
+        return self._components
 
     def value_on_blade(self, idx: IndexTuple) -> tuple[Fraction, ...]:
         return self.components.get(tuple(idx), tuple([Fraction(0)] * self.module.dim))
@@ -544,47 +511,6 @@ class CochainCE:
         for k, blade in enumerate(blades):
             data[blade] = tuple(vec[k * m : (k + 1) * m])
         return cls(algebra, module, grade, data)
-
-    def _check(self, other: "CochainCE") -> None:
-        if self.algebra is not other.algebra or self.module is not other.module:
-            raise ValueError("cochains over different data")
-
-    def __add__(self, other: "CochainCE") -> "CochainCE":
-        self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.grade != other.grade:
-            raise ValueError("cannot add cochains of different grades")
-        data = {idx: list(vec) for idx, vec in self.components.items()}
-        for idx, vec in other.components.items():
-            if idx in data:
-                data[idx] = [a + b for a, b in zip(data[idx], vec)]
-            else:
-                data[idx] = list(vec)
-        return CochainCE(self.algebra, self.module, self.grade, data)
-
-    def __sub__(self, other: "CochainCE") -> "CochainCE":
-        return self + other.scale(-1)
-
-    def scale(self, factor: Fraction | int) -> "CochainCE":
-        factor = _exact(factor)
-        return CochainCE(
-            self.algebra,
-            self.module,
-            self.grade,
-            {i: tuple(factor * c for c in vec) for i, vec in self.components.items()},
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CochainCE):
-            return NotImplemented
-        if self.algebra is not other.algebra or self.module is not other.module:
-            return False
-        if self.grade != other.grade and not (self.is_zero and other.is_zero):
-            return False
-        return self.components == other.components
 
     def evaluate(self, vectors: Sequence[Sequence[Fraction | int]]) -> Vec:
         """Multilinear alternating evaluation on arbitrary coordinate vectors."""

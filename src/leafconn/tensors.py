@@ -1,8 +1,10 @@
 """Multivector fields, differential forms, and the graded calculus on them.
 
 Components are stored sparsely on strictly increasing index tuples with
-polynomial coefficients, so every object has one canonical representation
-(``_blade`` is the one check of such a tuple, here and in ``liealg``).
+polynomial coefficients, so every object has one canonical representation.
+Tensors, and the chains and cochains of ``liealg``, are blade sums: one
+private base, ``_BladeSum``, gates their blades (``_blade``) and writes
+their addition, scaling, equality, hashing and wedge once.
 A blade (i_1, ..., i_p) is read as the product xi_{i_1} ... xi_{i_p} of odd
 variables (xi_j = d/dx_j for fields, dx_j for forms).  The calculus stands
 on two derivative kernels and one product loop: ``_odd_partials`` (d/dxi_j
@@ -38,8 +40,10 @@ classical ``[L_X, i_Y] = i_[X,Y]``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence, Union
 
+from .linalg import _exact
 from .poly import ContextMismatch, Polynomial, VarContext
 
 Scalar = Union[Polynomial, Fraction, int]
@@ -128,29 +132,119 @@ def _even_partials(components: Mapping[IndexTuple, Polynomial]) -> dict[int, dic
     return out
 
 
-class _GradedTensor:
-    """Shared storage and linear structure for multivectors and forms."""
+class _BladeSum:
+    """A sparse sum of blades of one grade: increasing index tuples mapped
+    to nonzero coefficients.  A subclass names its space (``_space``:
+    results are rebuilt on it, and equality, hashing and the compatibility
+    check compare it) and reads coefficients (``_read``, None for zero); it
+    may replace ``_sum``, ``_times``, ``_factor`` and the error types.  Zero
+    belongs to every grade: it absorbs ``+``, and the zeros of all grades
+    compare and hash alike.
+    """
 
-    __slots__ = ("context", "grade", "_components")
+    __slots__ = ("grade", "_components")
+    _grade_error = _space_error = ValueError
+    _space_message = ""  # overridden
+    # the coefficient sum, a coefficient times a scalar, and the scalar reader
+    _sum, _times, _factor = add, mul, staticmethod(_exact)
+
+    def __init__(self, grade: int, dim: int, components: Mapping) -> None:
+        if grade < 0:
+            raise self._grade_error(f"negative grade {grade}")
+        self.grade = grade
+        clean = {}
+        for indices, value in dict(components).items():
+            indices = _blade(indices, grade, dim)
+            value = self._read(value)
+            if value is not None:
+                clean[indices] = value
+        self._components = clean
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._components
+
+    def _items(self) -> Iterator[tuple[IndexTuple, object]]:
+        for indices in sorted(self._components):
+            yield indices, self._components[indices]
+
+    def _check(self, other: "_BladeSum") -> None:
+        if type(self) is not type(other):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self._space != other._space:
+            raise self._space_error(self._space_message)
+
+    def __add__(self, other: "_BladeSum") -> "_BladeSum":
+        self._check(other)
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        if self.grade != other.grade:
+            raise self._grade_error(f"grades differ: {self.grade} vs {other.grade}")
+        data = dict(self._components)
+        for indices, value in other._components.items():
+            data[indices] = self._sum(data[indices], value) if indices in data else value
+        return type(self)(*self._space, self.grade, data)
+
+    def __neg__(self) -> "_BladeSum":
+        return type(self)(*self._space, self.grade, {i: -c for i, c in self._components.items()})
+
+    def __sub__(self, other: "_BladeSum") -> "_BladeSum":
+        return self + (-other)
+
+    def scale(self, factor: Scalar) -> "_BladeSum":
+        factor = self._factor(factor)
+        data = {i: self._times(c, factor) for i, c in self._components.items()}
+        return type(self)(*self._space, self.grade, data)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _BladeSum):
+            return NotImplemented
+        # a nonzero blade's length is its grade, so equal components agree on
+        # the grade unless both are zero, and zero belongs to every grade
+        same = type(self) is type(other) and self._space == other._space
+        return same and self._components == other._components
+
+    def __hash__(self) -> int:
+        # Grade is omitted so that zeros of every grade hash alike.
+        return hash((type(self).__name__, *self._space, frozenset(self._components.items())))
+
+    def _wedge(self, other: "_BladeSum") -> "_BladeSum":
+        """The exterior product; bound as ``wedge`` where coefficients multiply."""
+        self._check(other)
+        data: dict[IndexTuple, object] = {}
+        _wedge_terms(data, self._components, other._components, 1)
+        return type(self)(*self._space, self.grade + other.grade, data)
+
+
+class _GradedTensor(_BladeSum):
+    """Multivectors and forms: polynomial coefficients over a ``VarContext``."""
+
+    __slots__ = ("context",)
+    _grade_error, _space_error = GradeError, ContextMismatch
+    _space_message = "tensor contexts differ"
     _basis_format = ""  # overridden
 
     def __init__(self, context: VarContext, grade: int, components: Mapping[IndexTuple, Polynomial] = ()):
-        if grade < 0:
-            raise GradeError(f"negative grade {grade}")
-        if grade > len(context):
-            # Anything of grade above the variable count is identically zero;
-            # keep the declared grade but no components can exist.
-            components = {}
         self.context = context
-        self.grade = grade
-        clean: dict[IndexTuple, Polynomial] = {}
-        for indices, coeff in dict(components).items():
-            indices = _blade(indices, grade, len(context))
-            if coeff.context != context:
-                raise ContextMismatch("component context does not match the tensor context")
-            if not coeff.is_zero:
-                clean[indices] = coeff
-        self._components = clean
+        # Anything of grade above the variable count is identically zero;
+        # keep the declared grade but no components can exist.
+        super().__init__(grade, len(context), {} if grade > len(context) else components)
+
+    @property
+    def _space(self) -> tuple[VarContext]:
+        return (self.context,)
+
+    def _read(self, coeff: Polynomial) -> "Polynomial | None":
+        if coeff.context != self.context:
+            raise ContextMismatch("component context does not match the tensor context")
+        return None if coeff.is_zero else coeff
+
+    @staticmethod
+    def _factor(factor: Scalar) -> Scalar:
+        # scalars stay scalars for Polynomial's term-by-term product
+        return factor if isinstance(factor, Polynomial) else _exact(factor)
 
     @classmethod
     def zero(cls, context: VarContext, grade: int = 0) -> "_GradedTensor":
@@ -160,78 +254,16 @@ class _GradedTensor:
     def from_scalar(cls, value: Polynomial) -> "_GradedTensor":
         return cls(value.context, 0, {(): value})
 
-    # -- linear structure --------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._components
-
-    def components(self) -> Iterator[tuple[IndexTuple, Polynomial]]:
-        for indices in sorted(self._components):
-            yield indices, self._components[indices]
+    components = _BladeSum._items
+    wedge = _BladeSum._wedge
 
     def coefficient(self, indices: IndexTuple) -> Polynomial:
         return self._components.get(tuple(indices), Polynomial.zero(self.context))
-
-    def _check_compatible(self, other: "_GradedTensor") -> None:
-        if type(self) is not type(other):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if self.context != other.context:
-            raise ContextMismatch("tensor contexts differ")
-        # The zero tensor belongs to every grade, so it never conflicts.
-        if self.grade != other.grade and not self.is_zero and not other.is_zero:
-            raise GradeError(f"grades differ: {self.grade} vs {other.grade}")
-
-    def __add__(self, other: "_GradedTensor") -> "_GradedTensor":
-        self._check_compatible(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        components = dict(self._components)
-        for indices, coeff in other._components.items():
-            _accumulate(components, indices, coeff)
-        return type(self)(self.context, self.grade, components)
-
-    def __neg__(self) -> "_GradedTensor":
-        return type(self)(self.context, self.grade, {i: -c for i, c in self._components.items()})
-
-    def __sub__(self, other: "_GradedTensor") -> "_GradedTensor":
-        return self + (-other)
-
-    def scale(self, factor: Scalar) -> "_GradedTensor":
-        if not isinstance(factor, Polynomial):
-            factor = Polynomial.constant(self.context, factor)
-        return type(self)(
-            self.context, self.grade, {i: factor * c for i, c in self._components.items()}
-        )
 
     def __mul__(self, factor: Scalar) -> "_GradedTensor":
         return self.scale(factor)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if type(self) is not type(other) or self.context != other.context:
-            return NotImplemented if not isinstance(other, _GradedTensor) else False
-        if self.grade != other.grade and not (self.is_zero and other.is_zero):
-            return False
-        return self._components == other._components
-
-    def __hash__(self) -> int:
-        # Grade is omitted so that zero tensors of every grade hash alike.
-        return hash((type(self).__name__, self.context, frozenset(self._components.items())))
-
-    # -- wedge -------------------------------------------------------------
-
-    def wedge(self, other: "_GradedTensor") -> "_GradedTensor":
-        if type(self) is not type(other):
-            raise TypeError("wedge requires two tensors of the same kind")
-        if self.context != other.context:
-            raise ContextMismatch("tensor contexts differ")
-        components: dict[IndexTuple, Polynomial] = {}
-        _wedge_terms(components, self._components, other._components, 1)
-        return type(self)(self.context, self.grade + other.grade, components)
 
     def __xor__(self, other: "_GradedTensor") -> "_GradedTensor":
         return self.wedge(other)

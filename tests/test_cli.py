@@ -221,6 +221,28 @@ def test_leaves_are_built_once_per_ideal_and_point(tmp_path, monkeypatch):
     assert built == [(0, 0), (1, 0), (1, 0), None]
 
 
+def test_leaf_connection_checks_its_point_once(tmp_path, monkeypatch):
+    checked = []
+    validate_point = connection.LeafContext._validate_point
+
+    def counting(self, point):
+        checked.append(tuple(point))
+        return validate_point(self, point)
+
+    monkeypatch.setattr(connection.LeafContext, "_validate_point", counting)
+    spec = tmp_path / "leaf.spec"
+    query = "[query leaf-connection]\nideal = origin\nalpha = a\nsection = s\npoint = 0, 0\n\n"
+    spec.write_text(
+        "[variables]\nx, y\n\n[bivector]\nx ^ y = x\n\n"
+        "[ideal origin]\nx\ny\n\n[form a]\ndy\n\n[multivector s]\nd/dx\n\n" + query * 2
+    )
+    code, report = run_to_file(spec, tmp_path)
+    assert code == 0
+    assert report.decode().count("class_at_point = d/dx\n") == 2
+    # the leaf's base point is the query's point: checked when the leaf is built
+    assert checked == [(0, 0)]
+
+
 def test_char_class_projection_option(tmp_path):
     spec = tmp_path / "proj.spec"
     spec.write_text(
