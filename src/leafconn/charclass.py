@@ -48,10 +48,10 @@ def _vector_str(algebra: LieAlgebraFD, vec: Sequence[Fraction]) -> str:
 
 def _sparse_exact(vec: Sequence[Fraction], n: int) -> linalg.Sparse:
     """The nonzero cells of a dense vector, after checking its length ``n``
-    and that every cell is exact."""
+    and passing it through the dense gate (no dict, exact cells)."""
     if len(vec) != n:
         raise ValueError(f"expected a vector of length {n}, got {len(vec)}")
-    linalg._check_cells(vec)
+    linalg._check_dense([vec])
     return _sparse(vec)
 
 
@@ -63,6 +63,8 @@ class LieIdeal:
     """A subspace closed under brackets with the whole algebra."""
 
     def __init__(self, ambient: LieAlgebraFD, rows: Sequence[Sequence[Fraction | int]]):
+        for row in rows:
+            linalg._check_dense([row])
         clean = [[linalg._exact(c) for c in row] for row in rows]
         if any(len(row) != ambient.dim for row in clean):
             raise ValueError("ideal basis vectors must have ambient dimension")
@@ -192,7 +194,7 @@ class ProjectionOperator:
         return cls(ideal, matrix)
 
     def apply(self, vec: Sequence[Fraction]) -> Vec:
-        return linalg.matvec(self.matrix, list(vec))
+        return linalg.matvec(self.matrix, vec)
 
 
 def projection_form(
@@ -234,6 +236,7 @@ class QuotientAlgebra:
         """The coordinate section: quotient coordinates back into the algebra."""
         if len(vec) != len(self.positions):
             raise ValueError(f"expected {len(self.positions)} quotient coordinates, got {len(vec)}")
+        linalg._check_dense([vec])
         out = [Fraction(0)] * self.ideal.ambient.dim
         for coeff, p in zip(vec, self.positions):
             out[p] = linalg._exact(coeff)

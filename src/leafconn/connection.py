@@ -22,7 +22,8 @@ by the exact pairing identity
 
 All quotient bases are chosen deterministically: the evaluated tangent
 span is row-reduced with leftmost pivots and the complement coordinates
-(or coordinate blades, for higher grade) form the transversal basis.
+(or coordinate blades, for higher grade) form the transversal basis.  Each
+query checks its point and builds the quotient once, caching nothing.
 """
 from __future__ import annotations
 
@@ -76,9 +77,6 @@ class LeafContext:
         self.base_point: Optional[Point] = None
         if base_point is not None:
             self.base_point = self._validate_point(base_point)
-        # (point, grade) -> _quotient_data; the leaf is immutable after
-        # __init__, so a race only recomputes the same value
-        self._quotients: dict[tuple[Point, int], tuple] = {}
 
     def _validate_point(self, point: Sequence[Fraction | int]) -> Point:
         pt = _point(self.context, point)
@@ -115,16 +113,12 @@ class LeafContext:
         """All grade-sized increasing index tuples, the ambient blade basis."""
         return list(itertools.combinations(range(len(self.context)), grade))
 
-    def _quotient_data(self, point: Point, grade: int):
-        """Row-reduced span of (tangent wedge ambient) blades at the point."""
+    def _quotient(self, at, grade: int):
+        """Check the point and row-reduce the span of (tangent wedge ambient)
+        blades there: the complement blades and the map to class coordinates."""
+        point = self._resolve_point(at)
         if grade < 1:
             raise GradeError(f"transversal grade must be at least 1, got {grade}")
-        key = (point, grade)
-        if key not in self._quotients:
-            self._quotients[key] = self._reduce_tangent_span(point, grade)
-        return self._quotients[key]
-
-    def _reduce_tangent_span(self, point: Point, grade: int):
         blades = self.transversal_blades(grade)
         position = {b: k for k, b in enumerate(blades)}
         rows: list[linalg.Sparse] = []
@@ -139,12 +133,17 @@ class LeafContext:
                 rows.append(row)
         reduced, pivots = linalg.rref(rows)
         complement = [b for k, b in enumerate(blades) if k not in pivots]
-        return position, reduced, pivots, complement
+
+        def class_of(field: MultivectorField) -> tuple[Fraction, ...]:
+            vec = {position[idx]: v for idx, coeff in field.components() if (v := coeff.evaluate(point))}
+            res = linalg.residue(vec, reduced, pivots)
+            return tuple(res.get(position[b], Fraction(0)) for b in complement)
+
+        return complement, class_of
 
     def transversal_basis_at(self, at=None, grade: int = 1) -> list[tuple[int, ...]]:
         """Complement blades forming the transversal basis at a leaf point."""
-        point = self._resolve_point(at)
-        return list(self._quotient_data(point, grade)[3])
+        return self._quotient(at, grade)[0]
 
     def reduce_mod_tangent(self, field: MultivectorField, at=None) -> tuple[Fraction, ...]:
         """Class of an evaluated multivector in the pointwise quotient.
@@ -154,11 +153,7 @@ class LeafContext:
         if field.context != self.context:
             raise ContextMismatch("field context does not match the leaf context")
         grade = field.grade if not field.is_zero else max(field.grade, 1)
-        point = self._resolve_point(at)
-        position, reduced, pivots, complement = self._quotient_data(point, grade)
-        vec = {position[idx]: v for idx, coeff in field.components() if (v := coeff.evaluate(point))}
-        res = linalg.residue(vec, reduced, pivots)
-        return tuple(res.get(position[b], Fraction(0)) for b in complement)
+        return self._quotient(at, grade)[1](field)
 
 
 class TransversalMultivector:
@@ -287,7 +282,7 @@ def flat_sections_at_point(
     return value is the transversal blade basis together with a basis of
     the flat subspace in those coordinates.
     """
-    complement = leaf.transversal_basis_at(at, grade)
+    complement, class_of = leaf._quotient(at, grade)
     m = len(complement)
     if m == 0:
         return [], []
@@ -298,7 +293,7 @@ def flat_sections_at_point(
         for k, blade in enumerate(complement):
             extension = MultivectorField(leaf.context, grade, {blade: one})
             derivative = schouten_bracket(tangent, extension)
-            for r, value in enumerate(leaf.reduce_mod_tangent(derivative, at)):
+            for r, value in enumerate(class_of(derivative)):
                 if value:
                     block[r][k] = value
         rows.extend(block)

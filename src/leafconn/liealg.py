@@ -262,7 +262,7 @@ class LieModuleFD:
                             )
 
     def act_basis(self, i: int, vec: Sequence[Fraction]) -> Vec:
-        return linalg.matvec(self.matrices[i], list(vec))
+        return linalg.matvec(self.matrices[i], vec)
 
     def act(self, x: Sequence[Fraction], vec: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
@@ -303,6 +303,7 @@ class ChainElement(_BladeSum):
     def vector(cls, algebra: LieAlgebraFD, coords: Sequence[Fraction | int]) -> "ChainElement":
         if len(coords) != algebra.dim:
             raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
+        linalg._check_dense([coords])
         return cls(algebra, 1, {(i,): c for i, c in enumerate(coords)})
 
     items = _BladeSum._items

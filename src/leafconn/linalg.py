@@ -1,23 +1,24 @@
 """Exact linear algebra over the rationals.
 
 One sparse, fraction-free elimination kernel, ``_echelon``, does all the
-row reduction.  Every input row is read once (``_row``) into a primitive
-integer row ``{column: int}``: denominators cleared, content taken out;
-each cell, ``int`` or ``Fraction``, is read through ``as_integer_ratio()``,
-and the row is scaled by the ``lcm`` of the denominators.  The kernel maps each pivot column to its pivot row,
-kept primitive with a positive pivot cell, so the exact reduced row is
-``row / row[pivot]``.  A new row is reduced by the pivot rows whose columns
-it touches, then cleared out of the earlier pivot rows; the scan ``for
-other in reduced.values()`` visits every pivot row, also in blocks of the
-row/column graph that the new row does not touch.  Each clearing is one
-integer pseudo-step, ``_clear``: ``a * row - b * pivot_row`` with ``a = p /
-g``, ``b = c / g`` and ``g = gcd(c, p)`` for the cells ``c`` and ``p`` in
-the pivot column, after which the content comes out, as in ``ideals``.
-``_echelon`` and ``_residue`` share it through ``_reduce``.
+row reduction.  ``_row``, the package's one reader of primitive integer
+forms (``Polynomial._primitive`` uses it too), reads each cell through
+``as_integer_ratio()``, clears the denominators by their ``lcm`` and takes
+the content out.  The kernel maps each pivot column to its pivot row, kept
+primitive with a positive pivot cell, so the exact reduced row is
+``row / row[pivot]``.  A new row is reduced by the pivot rows whose
+columns it touches, then cleared out of the earlier pivot rows; the scan
+``for other in reduced.values()`` visits every pivot row, also in blocks
+of the row/column graph that the new row does not touch.  Each clearing
+is one integer pseudo-step, ``_clear``: ``a * row - b * pivot_row`` with
+``a = p / g``, ``b = c / g`` and ``g = gcd(c, p)`` for the cells ``c`` and
+``p`` in the pivot column, after which the content comes out, as in
+``ideals``.  ``_echelon`` and ``_residue`` share it through ``_reduce``.
 ``_residue`` returns a row cleared against a pivot map with its rational
 scale; ``residue`` and ``liealg.homology`` build ``Fraction`` cells from
-it.  Given a pivot map it built before, ``_echelon`` extends it in place.  ``Fraction`` cells appear only in the
-answers (``Fraction(v, p)``); ``rank`` converts nothing.
+it.  Given a pivot map it built before, ``_echelon`` extends it in place.
+``Fraction`` cells appear only in the answers (``Fraction(v, p)``);
+``rank`` converts nothing.
 
 The reduced row echelon form of a matrix is unique, so results do not
 depend on the order of elimination: the reduced rows and pivots, the
@@ -27,13 +28,15 @@ those of plain left-to-right Gauss-Jordan.
 Rows are ``Sparse`` dicts that map column indices to their nonzero cells,
 the kind ``liealg`` builds its (co)boundary matrices in.  ``rref``,
 ``rank``, ``residue``, ``nullspace`` and ``solve`` take and answer only
-such rows; an empty row list is simply the zero-row matrix.  ``matvec``,
-``matmul`` and ``transpose`` work on dense rows (sequences of one common
-length), and ``identity`` builds them.  Every public function checks the
-shapes it is given and raises ``ValueError`` on a row of the wrong kind,
-ragged dense rows, mismatched lengths or out-of-range sparse columns
-rather than truncating, and ``TypeError`` on a cell that is not ``int`` or
-``Fraction``: floats and strings never enter exact arithmetic.
+such rows; an empty row list is the zero-row matrix.  ``matvec``,
+``matmul`` and ``transpose`` work on dense rows and vectors (sequences of
+one common length), and ``identity`` builds them.  A public function
+checks each row once, at its gate, ``_shape`` (sparse) or ``_check_dense``
+(dense): ``ValueError`` on a row of the wrong kind, ragged rows,
+mismatched lengths or out-of-range columns, then ``TypeError`` on a cell
+that is not ``int`` or ``Fraction``, so floats and strings never enter
+exact arithmetic.  The kernel checks nothing: its rows passed a gate or
+were built by the library.
 """
 from __future__ import annotations
 
@@ -57,31 +60,29 @@ def _exact(value) -> Fraction:
 
 
 def _check_cells(cells: Collection) -> None:
-    """``TypeError`` unless every cell is an ``int`` or a ``Fraction``."""
-    for kind in set(map(type, cells)):
+    """``TypeError`` on the first cell that is not an ``int`` or a ``Fraction``."""
+    for kind in dict.fromkeys(map(type, cells)):
         if not issubclass(kind, (int, Fraction)):
             _exact(next(x for x in cells if type(x) is kind))
 
 
-def _check_sparse(row) -> None:
-    if not isinstance(row, dict):
-        raise ValueError(f"rows and vectors must be Sparse dicts, got {type(row).__name__}")
-
-
 def _shape(rows: Sequence[Sparse], ncols: Optional[int] = None) -> None:
-    """Check that ``rows`` are ``Sparse`` with columns in ``range(ncols)``,
-    or non-negative ones when the width is open."""
+    """The sparse gate: ``Sparse`` rows with columns in ``range(ncols)``
+    (non-negative ones when the width is open), then exact cells."""
     for row in rows:
-        _check_sparse(row)
+        if not isinstance(row, dict):
+            raise ValueError(f"rows and vectors must be Sparse dicts, got {type(row).__name__}")
         if row and (min(row) < 0 or (ncols is not None and max(row) >= ncols)):
             bad = min(row) if min(row) < 0 else max(row)
             bound = "" if ncols is None else f" for {ncols} columns"
             raise ValueError(f"sparse column {bad} out of range{bound}")
+    for row in rows:
+        _check_cells(row.values())
 
 
 def _check_dense(rows: Sequence[Sequence[Fraction]], width: Optional[int] = None) -> None:
-    """``ValueError`` unless ``rows`` are dense rows of one common length
-    (``width``, if given and there are rows)."""
+    """The dense gate: no ``dict``, one common length (``width``, if given
+    and there are rows), then exact cells."""
     if any(isinstance(row, dict) for row in rows):
         raise ValueError("sparse rows where dense rows are needed")
     widths = {len(row) for row in rows}
@@ -89,13 +90,13 @@ def _check_dense(rows: Sequence[Sequence[Fraction]], width: Optional[int] = None
         raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
     if width is not None and widths and widths != {width}:
         raise ValueError(f"matrix rows have length {widths.pop()}, expected {width}")
+    for row in rows:
+        _check_cells(row)
 
 
 def _row(given: Sparse) -> tuple[dict[int, int], int, int]:
     """``(ints, num, den)`` with ``given == ints * num / den`` and ``ints``
-    primitive (empty for a zero row)."""
-    _check_sparse(given)
-    _check_cells(given.values())
+    primitive (empty for a zero row); the cells passed a gate."""
     ratios = {j: x.as_integer_ratio() for j, x in given.items() if x}
     den = lcm(*(d for _, d in ratios.values()))
     ints = {j: n * (den // d) for j, (n, d) in ratios.items()}
@@ -204,8 +205,10 @@ def residue(vec: Sparse, reduced: Sequence[Sparse], pivots: list[int]) -> Sparse
         raise ValueError(f"{len(pivots)} pivots for {len(reduced)} reduced rows")
     _shape([vec])
     rows = dict(zip(pivots, reduced))
-    # clearing never adds a pivot column: read only the rows it uses
-    row, num, den = _residue(vec, {c: _row(rows[c])[0] for c in vec if c in rows})
+    # clearing never adds a pivot column: check and read only the rows it uses
+    used = {c: rows[c] for c in vec if c in rows}
+    _shape(used.values())
+    row, num, den = _residue(vec, {c: _row(r)[0] for c, r in used.items()})
     return {j: Fraction(v * num, den) for j, v in row.items()}
 
 
@@ -244,24 +247,19 @@ def solve(rows: Sequence[Sparse], rhs: Sparse) -> Sparse | None:
 
 def matvec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> list[Fraction]:
     _check_dense(rows, len(vec))
-    for row in (*rows, vec):
-        _check_cells(row)
+    _check_dense([vec])
     return [sum((a * b for a, b in zip(row, vec) if a and b), _ZERO) for row in rows]
 
 
 def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     _check_dense(a, len(b))
     _check_dense(b)
-    for row in (*a, *b):
-        _check_cells(row)
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col) if x and y), _ZERO) for col in cols] for row in a]
 
 
 def transpose(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     _check_dense(rows)
-    for row in rows:
-        _check_cells(row)
     return [list(col) for col in zip(*rows)]
 
 

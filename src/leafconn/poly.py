@@ -15,18 +15,18 @@ exactness gate.  The public constructor validates every input, and
 clean by construction, go through the module-private ``_from_clean``, or
 ``_from_primitive`` when their primitive integer form is already known.
 Each polynomial memoizes its leading term per order, its primitive integer
-form (see ``_primitive``) and the exponents of its monomial multiples (see
-``_shifted``), which the Gröbner code in :mod:`leafconn.ideals` divides
-with; ``_shift`` multiplies by a monomial.
+form (``_primitive``, read by ``linalg._row``, the package's one reader of
+that form) and the exponents of its monomial multiples (see ``_shifted``),
+which the Gröbner code in :mod:`leafconn.ideals` divides with; ``_shift``
+multiplies by a monomial.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from operator import add, neg
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .linalg import _exact
+from .linalg import _exact, _row
 
 Coeff = Union[Fraction, int]
 Exponent = tuple[int, ...]
@@ -236,12 +236,8 @@ class Polynomial:
         memo = self._memo_dict()
         form = memo.get(None)
         if form is None:
-            den = lcm(*(c.denominator for c in self._terms.values()))
-            ints = {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}
-            content = gcd(*ints.values()) or 1
-            if content != 1:
-                ints = {e: c // content for e, c in ints.items()}
-            form = memo[None] = (ints, Fraction(content, den))
+            ints, num, den = _row(self._terms)
+            form = memo[None] = (ints, Fraction(num, den))
         return form
 
     def _shifted(self, u: Exponent) -> list[Exponent]:

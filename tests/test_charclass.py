@@ -18,6 +18,8 @@ from leafconn.charclass import (
     pullback_cochain,
 )
 from leafconn.liealg import (
+    ChainElement,
+    LieModuleFD,
     abelian_algebra,
     ce_coboundary,
     direct_sum,
@@ -219,6 +221,27 @@ def test_quotient_lift_rejects_wrong_length(vec):
     with pytest.raises(ValueError, match=f"expected 2 quotient coordinates, got {len(vec)}"):
         quotient.lift(vec)
     assert quotient.lift([1, F(1, 2)]) == [F(1), F(1, 2), F(0)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h3, ideal: linalg.matvec([[1, 2]], {0: 5, 1: 7}),
+        lambda h3, ideal: ideal.contains({0: 0, 1: 0, 2: 5}),
+        lambda h3, ideal: ideal.coordinates({0: 0, 1: 0, 2: 5}),
+        lambda h3, ideal: QuotientAlgebra(ideal).project({0: 0, 1: 0, 2: 5}),
+        lambda h3, ideal: QuotientAlgebra(ideal).lift({0: 1, 1: 2}),
+        lambda h3, ideal: ProjectionOperator.canonical(ideal).apply({0: 0, 1: 0, 2: 5}),
+        lambda h3, ideal: LieModuleFD.trivial(h3, 2).act_basis(0, {0: 1, 1: 2}),
+        lambda h3, ideal: ChainElement.vector(h3, {0: 0, 1: 0, 2: 5}),
+        lambda h3, ideal: LieIdeal(h3, [{0: 0, 1: 0, 2: 5}]),
+    ],
+)
+def test_dict_where_a_dense_vector_is_expected_is_rejected(call):
+    # a Sparse dict of the right length was read by its keys
+    h3, ideal = center_of_heisenberg()
+    with pytest.raises(ValueError, match="sparse rows where dense rows are needed"):
+        call(h3, ideal)
 
 
 def _summands(g):

@@ -240,6 +240,28 @@ def test_base_point_is_checked_once(monkeypatch):
         flat_sections_at_point(leaf, at=(0, 0, 1))
 
 
+def test_explicit_point_is_checked_once_and_leaf_keeps_no_point_state(monkeypatch):
+    checked = []
+    validate_point = LeafContext._validate_point
+
+    def counting(self, point):
+        checked.append(tuple(point))
+        return validate_point(self, point)
+
+    monkeypatch.setattr(LeafContext, "_validate_point", counting)
+    leaf = plane_leaf()
+    state = dict(vars(leaf))
+    checked.clear()
+    assert flat_sections_at_point(leaf, at=(1, 2, 0)) == ([(2,)], [(Fraction(1),)])
+    assert checked == [(1, 2, 0)]
+    for k in range(6):
+        point = (k, -k, 0)
+        leaf.transversal_basis_at(point, 1 + k % 2)
+        leaf.reduce_mod_tangent(mv("d/dz", CTX3), point)
+        flat_sections_at_point(leaf, 1 + k % 3, point)
+    assert vars(leaf) == state
+
+
 def test_non_integral_ideal_rejected():
     pi = PoissonStructure(mv("d/dx ^ d/dy"))
     with pytest.raises(ValueError):

@@ -162,6 +162,18 @@ def test_homology_dimensions():
     ]
 
 
+def test_homology_checks_each_row_once_at_the_gate(monkeypatch):
+    # nullspace's gate checks the rows it is handed; the kernel trusts them
+    # and the rows homology builds itself
+    checked, handed = [], []
+    check_cells, nullspace = linalg._check_cells, linalg.nullspace
+    monkeypatch.setattr(linalg, "_check_cells", lambda cells: checked.append(1) or check_cells(cells))
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, n: handed.extend(rows) or nullspace(rows, n))
+    homology(direct_sum(sl2(), heisenberg3()))
+    assert len(handed) == 64
+    assert len(checked) == len(handed)
+
+
 def test_homology_representatives_are_cycles():
     # in grade 1 of [a, b] = a + b, both kernel vectors leave a nonzero
     # residue modulo the image, and the two residues are dependent
